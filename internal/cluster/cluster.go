@@ -3,15 +3,22 @@
 // behind the exact query semantics of internal/core and the wire contract
 // of internal/server.
 //
-// # Why vertex shards work
+// # What vertex shards split
 //
 // Rank(p, q) is a global shortest-path property — it cannot be computed
 // from a subgraph — so the graph itself is not partitioned. What IS
 // partitioned is the candidate class: shard i answers queries for its own
-// vertices only (an Options.Candidates mask), which divides the dominant
-// query cost, the per-candidate rank refinements, across shards. Every
-// shard still holds the whole graph, like the partitioned hub labelings
-// of ReHub partition label work rather than topology.
+// vertices only (an Options.Candidates mask). Every shard still holds the
+// whole graph, like the partitioned hub labelings of ReHub partition
+// label work rather than topology.
+//
+// The mask does not divide the query's CPU work. Lemma 1's parent bound
+// does the pruning, so each shard refines out-of-class SDS-tree nodes for
+// their bound (core's refineParent) and does about one node's work: on a
+// dblp-like graph the summed refinements are about 3x a single node's at
+// 2 shards, and more at 4. What the scatter buys is isolation and
+// topology (failure domains, replica groups, per-shard deployment), not
+// less CPU.
 //
 // # Scatter-gather with rank-floor pruning
 //

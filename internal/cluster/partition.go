@@ -10,8 +10,10 @@ import (
 // A Partitioner splits a graph's vertex set into disjoint shards. Shards
 // partition the CANDIDATE class only: every shard still holds the whole
 // graph (ranks are global shortest-path properties and cannot be computed
-// from a subgraph), but answers queries for its own vertices alone, which
-// divides the dominant query cost — the rank refinements — across shards.
+// from a subgraph) and answers queries for its own vertices alone. That
+// does not divide the rank refinements: each shard also refines
+// out-of-class nodes for their Lemma-1 bound and does about one node's
+// work (see the package comment).
 type Partitioner interface {
 	// Name is the canonical partitioner name ("modulo", "degree").
 	Name() string
@@ -25,8 +27,8 @@ type Partitioner interface {
 
 // Modulo assigns node v to shard v % P: zero-state, O(N), and perfectly
 // balanced by node count. Degree skew (power-law graphs) can still leave
-// one shard with most of the refinement work; DegreeBalanced addresses
-// that.
+// one shard with most of the in-class refinements; DegreeBalanced
+// addresses that.
 type Modulo struct{}
 
 // Name implements Partitioner.

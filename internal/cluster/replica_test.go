@@ -428,7 +428,7 @@ func TestReplicaGroupRegressedGenerationMutate(t *testing.T) {
 	// Two batches land on the up-to-date replica only.
 	lag.failMutate.Store(true)
 	for i := 0; i < 2; i++ {
-		if _, err := rg.Mutate(ctx, []graph.Mutation{graph.SetWeight(0, 1, float64(i) + 2)}); err != nil {
+		if _, err := rg.Mutate(ctx, []graph.Mutation{graph.SetWeight(0, 1, float64(i)+2)}); err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}
 	}

@@ -74,8 +74,7 @@ func (e *Engine) dynamic(q int32, k int) *Result {
 			e.tree.Expand(v, d)
 			continue
 		}
-		if !e.candidate(v) {
-			e.passThrough(v, d)
+		if e.pend != nil && e.masked(v, d, false) {
 			continue
 		}
 		lb := e.lowerBound(v, 0)
@@ -93,10 +92,11 @@ func (e *Engine) dynamic(q int32, k int) *Result {
 // where an uncounted node's descendants may rank one better than the node
 // itself (see descBound) and must still be explored. The recorded
 // descendant bound keeps the parent's (which passes through v unweakened)
-// when that is stronger than v's own adjusted bound. Expansion is
-// tie-inclusive (db <= kRank): a descendant tying the k-th rank could
-// still tie-break into the canonical result, so only a strictly worse
-// certified bound may cut the subtree.
+// when that is stronger than v's own adjusted bound; under a candidate
+// mask the parent's bound may come from refineParent rather than from a
+// candidate decision. Expansion is tie-inclusive (db <= kRank): a
+// descendant tying the k-th rank could still tie-break into the canonical
+// result, so only a strictly worse certified bound may cut the subtree.
 func (e *Engine) skipCandidate(v int32, d float64, lb int32) {
 	db := e.descBound(v, lb)
 	if pb := e.parentBound(v); pb > db {
@@ -132,8 +132,7 @@ func (e *Engine) indexed(q int32, k int) *Result {
 			e.tree.Expand(v, d)
 			continue
 		}
-		if !e.candidate(v) {
-			e.passThrough(v, d)
+		if e.pend != nil && e.masked(v, d, false) {
 			continue
 		}
 		// Read Check BEFORE LookupRank. Check(v) only bounds Rank(v, q)
@@ -194,15 +193,79 @@ func (e *Engine) indexHit(v int32, d float64, r int32) {
 // candidates run through it. Its descendants are also descendants of its
 // parent, so the parent's descendant bound passes through unweakened
 // (no per-hop loss), and the subtree is pruned once that bound already
-// disqualifies everything below.
+// disqualifies everything below. An expanded node is left pending:
+// refineParent replaces the inherited bound with the node's own when its
+// first SDS-tree child is dequeued, so a masked query keeps Lemma 1's
+// parent-to-child chain instead of handing children the grandparent's
+// bound.
 func (e *Engine) passThrough(v int32, d float64) {
 	pb := e.parentBound(v)
 	e.setDescBound(v, pb)
 	expand := pb <= e.heap.kRank()
 	if expand {
 		e.tree.Expand(v, d)
+		e.pend[v] = e.epoch
 	}
 	e.trace(v, d, TracePassThrough, pb, expand)
+}
+
+// masked runs the class logic of a masked query (e.pend != nil) for a
+// dequeued node v: it settles v's pending parent first (refineParent),
+// then passes v through when v is outside the candidate class. It reports
+// whether v was consumed. Unmasked queries skip it on the e.pend check,
+// which stands in for candidate()'s own nil check.
+func (e *Engine) masked(v int32, d float64, labels bool) bool {
+	e.refineParent(v, labels)
+	if e.opts.Candidates[v] {
+		return false
+	}
+	e.passThrough(v, d)
+	return true
+}
+
+// refineParent gives v's SDS-tree parent its own Lemma-1 bound when the
+// parent is an out-of-class node that passThrough left pending. The first
+// child to be dequeued pays for it, so a node whose children are never
+// reached costs nothing. The bounded engines call it for every dequeued
+// node of a masked query before checking the node's class.
+//
+// The usual Theorem-2 skip comes first: a lower bound above kRank is
+// recorded without a refinement. While the result heap holds fewer than k
+// entries nothing can be pruned, so the parent stays pending and a later
+// child tries again. Otherwise Dynamic and Indexed run a bound-only
+// refinement. The parent is never offered to the result heap, and it never
+// feeds the index: a Reverse Rank Dictionary slot held by a non-candidate
+// source would break the Check Dictionary's eviction argument (see
+// ridx.BuildParams.Candidates). HubLabel (labels set) takes the hub-label
+// bound instead and never refines: its label scans already prune most
+// in-class children cheaply, and a Dijkstra per out-of-class parent cost
+// more than it saved at k=100.
+func (e *Engine) refineParent(v int32, labels bool) {
+	p := e.tree.Parent(v)
+	if p < 0 || e.pend[p] != e.epoch {
+		return
+	}
+	kRank := e.heap.kRank()
+	if kRank == kRankInf {
+		return
+	}
+	e.pend[p] = 0
+	d, _ := e.tree.Dist(p)
+	bound := e.lowerBoundAt(p, 0, false)
+	switch {
+	case bound > kRank:
+	case labels:
+		bound = max(bound, e.labelBound(p, d, kRank))
+	default:
+		indexing := e.indexing
+		e.indexing = false
+		bound, _ = e.refine(p, d, e.sseq[p])
+		e.indexing = indexing
+	}
+	if db := e.descBound(p, bound); db > e.nrank[p] {
+		e.setDescBound(p, db)
+	}
+	e.trace(p, d, TraceClassBound, bound, e.nrank[p] <= kRank)
 }
 
 // lowerBound evaluates the Theorem-2 lower bound of a candidate about to be

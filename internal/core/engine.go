@@ -50,7 +50,8 @@ type Engine struct {
 	lbepoch uint32   // epoch for lbseen; bumped once per label scan
 	sseq    []int32  // SDS-tree pop sequence numbers (see markTreeSettled)
 	sstamp  []uint32
-	seq     int32 // pops so far this query
+	pend    []uint32 // out-of-class nodes awaiting refineParent; nil when unmasked
+	seq     int32    // pops so far this query
 	scratch []settleRec
 
 	heap  resultHeap
@@ -104,7 +105,7 @@ func NewEngine(g *graph.Graph, opts Options) *Engine {
 			panic(fmt.Sprintf("core: labels directed=%v, graph directed=%v", l.Directed(), g.Directed()))
 		}
 	}
-	return &Engine{
+	e := &Engine{
 		g:      g,
 		opts:   opts,
 		labels: opts.Labels,
@@ -118,6 +119,10 @@ func NewEngine(g *graph.Graph, opts Options) *Engine {
 		sseq:   make([]int32, n),
 		sstamp: make([]uint32, n),
 	}
+	if opts.Candidates != nil {
+		e.pend = make([]uint32, n)
+	}
+	return e
 }
 
 // Graph returns the engine's graph.
@@ -256,6 +261,7 @@ func (e *Engine) begin(q int32, k int, a Algorithm) {
 		clear(e.nstamp)
 		clear(e.ostamp)
 		clear(e.sstamp)
+		clear(e.pend)
 		e.epoch = 1
 	}
 	e.q = q

@@ -28,8 +28,7 @@ func (e *Engine) hubLabel(q int32, k int) *Result {
 			e.tree.Expand(v, d)
 			continue
 		}
-		if !e.candidate(v) {
-			e.passThrough(v, d)
+		if e.pend != nil && e.masked(v, d, true) {
 			continue
 		}
 		lb := e.lowerBound(v, 0)

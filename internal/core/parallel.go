@@ -404,6 +404,9 @@ func (e *Engine) submitJob(ps *parallelState, j *refineJob, p int32, dpq float64
 func (e *Engine) applyEntry(algo Algorithm, en *pendingEntry, ps *parallelState) {
 	v, d := en.v, en.d
 	e.stats.TreeSettled++
+	if e.pend != nil && algo != Static {
+		e.refineParent(v, false) // as the serial bounded engines do; see refineParent
+	}
 	switch {
 	case v == e.q:
 		e.discardJob(ps, en.job)

@@ -23,6 +23,13 @@ const (
 	// TracePassThrough: a non-candidate node (bichromatic mode) was
 	// forwarded with its parent's bound.
 	TracePassThrough
+	// TraceClassBound: a passed-through node got its own descendant bound
+	// when its first SDS-tree child was dequeued (masked engines, see
+	// refineParent): from a bound-only refinement (Dynamic, Indexed), from
+	// the hub labeling (HubLabel), or from the Theorem-2 lower bound alone
+	// when that already exceeded kRank. Bound is the value found; Expanded
+	// reports whether the node's children may still be explored.
+	TraceClassBound
 )
 
 // String returns a compact action name.
@@ -40,6 +47,8 @@ func (a TraceAction) String() string {
 		return "seeded"
 	case TracePassThrough:
 		return "pass-through"
+	case TraceClassBound:
+		return "class-bound"
 	}
 	return fmt.Sprintf("TraceAction(%d)", uint8(a))
 }

@@ -107,6 +107,7 @@ func TestTraceActionStrings(t *testing.T) {
 		TraceIndexHit:      "index-hit",
 		TraceSeeded:        "seeded",
 		TracePassThrough:   "pass-through",
+		TraceClassBound:    "class-bound",
 	}
 	for a, want := range names {
 		if a.String() != want {
