@@ -24,12 +24,11 @@
 // changing a byte of any answer; mutations fan to all of them in
 // lockstep.
 //
-// The pre-topology flags still work as a deprecated shim — each maps to
-// one topology field and may not be combined with -topology:
+// In-process shards and the coordinator options (partitioner, first-round
+// k, response cache, strict consistency) are topology fields too:
 //
-//	rkcluster -graph g.rkg -shards 4                         # {"local": {"shards": 4}}
-//	rkcluster -graph g.rkg -backends http://s0:8080,http://s1:8080
-//	                                                         # one single-replica shard per URL
+//	{"local": {"shards": 4, "pool_size": 2}, "partitioner": "degree",
+//	 "first_round_k": 10, "cache_mb": 32}
 //
 // Queries fan out to all shards at a reduced first-round k; shards whose
 // certified rank floor clears the merged cutoff are short-circuited and
@@ -52,7 +51,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -88,11 +86,7 @@ func run(args []string, logger *slog.Logger, ready chan<- string) error {
 		genNodes  = fs.Int("gen-nodes", 5000, "node count for -gen")
 		genSeed   = fs.Int64("gen-seed", 1, "seed for -gen")
 
-		topoPath    = fs.String("topology", "", "declarative cluster topology file (JSON; shard masks, per-shard replica lists, coordinator options)")
-		shards      = fs.Int("shards", 2, "in-process shard count (deprecated: use -topology with a \"local\" section)")
-		partName    = fs.String("partitioner", "modulo", "vertex partitioner: modulo|degree")
-		backendList = fs.String("backends", "", "comma-separated rkserve shard URLs, one single-replica shard each (deprecated: use -topology with a \"shards\" list)")
-		replicas    = fs.Int("replicas", 1, "in-process replicas per shard (deprecated: use -topology)")
+		topoPath = fs.String("topology", "", "declarative cluster topology file (JSON; shard masks, per-shard replica lists, coordinator options); required")
 
 		buildIndex = fs.Bool("build-index", false, "build one shared concurrent index for the in-process shards")
 		hubFrac    = fs.Float64("index-h", 0.1, "hub fraction h for -build-index")
@@ -104,12 +98,7 @@ func run(args []string, logger *slog.Logger, ready chan<- string) error {
 		hubStrategy = fs.String("hub-strategy", "degree", "root-selection strategy for -hub-count: random|degree|closeness")
 		hubWorkers  = fs.Int("hub-workers", 0, "build parallelism for -hub-count (0 = GOMAXPROCS; the labeling is identical for any value)")
 
-		cacheMB     = fs.Int("cache-mb", 0, "response cache budget in MiB (0 disables); duplicate in-flight queries coalesce onto one scatter")
-		poolSize    = fs.Int("pool", 0, "engine pool size PER SHARD (0 = GOMAXPROCS-derived)")
-		refine      = fs.Int("refine-workers", 0, "intra-query refine workers per engine")
-		algo        = fs.String("algo", "", "default algorithm (empty = indexed when every shard has an index, else dynamic)")
-		strict      = fs.Bool("strict", false, "refuse queries (503) when any shard is unavailable instead of answering partially")
-		firstRoundK = fs.Int("first-round-k", 0, "first scatter round's per-shard k (0 = auto ceil(k/P)+2; >= k disables rank-floor pruning)")
+		algo = fs.String("algo", "", "default algorithm (empty = indexed when every shard has an index, else dynamic)")
 
 		inflight  = fs.Int("max-inflight", 0, "max requests served concurrently (0 = 2x bottleneck shard capacity)")
 		queue     = fs.Int("max-queue", 0, "max requests waiting for a slot (0 = 4x max-inflight)")
@@ -124,7 +113,7 @@ func run(args []string, logger *slog.Logger, ready chan<- string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	topo, err := resolveTopology(fs, *topoPath, *shards, *replicas, *backendList, *partName, *strict, *firstRoundK, *cacheMB, *poolSize)
+	topo, err := readTopology(*topoPath)
 	if err != nil {
 		return err
 	}
@@ -145,8 +134,7 @@ func run(args []string, logger *slog.Logger, ready chan<- string) error {
 	if err != nil {
 		return err
 	}
-	coord, err := buildCoordinator(g, topo, *refine,
-		*buildIndex, *hubFrac, *rankFrac, *indexK, *genSeed, labels, cfg, logger)
+	coord, err := buildCoordinator(g, topo, *buildIndex, *hubFrac, *rankFrac, *indexK, *genSeed, labels, cfg, logger)
 	if err != nil {
 		return err
 	}
@@ -228,51 +216,20 @@ func run(args []string, logger *slog.Logger, ready chan<- string) error {
 	return nil
 }
 
-// resolveTopology produces the ONE topology the rest of the boot reads:
-// the -topology file when given, otherwise the deprecated flat flags
-// compiled into an equivalent Topology. Combining -topology with a flag
-// it replaces is refused rather than silently resolved.
-func resolveTopology(fs *flag.FlagSet, path string, shards, replicas int, backendList, partName string, strict bool, firstRoundK, cacheMB, poolSize int) (*api.Topology, error) {
-	if path != "" {
-		shadowed := map[string]bool{
-			"shards": true, "replicas": true, "backends": true, "partitioner": true,
-			"strict": true, "first-round-k": true, "cache-mb": true, "pool": true,
-		}
-		var conflict []string
-		fs.Visit(func(f *flag.Flag) {
-			if shadowed[f.Name] {
-				conflict = append(conflict, "-"+f.Name)
-			}
-		})
-		if len(conflict) > 0 {
-			return nil, fmt.Errorf("rkcluster: %s conflict with -topology; set the equivalent topology fields instead", strings.Join(conflict, ", "))
-		}
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		t, err := api.ReadTopology(f)
-		if err != nil {
-			return nil, fmt.Errorf("rkcluster: topology %s: %w", path, err)
-		}
-		return t, nil
+// readTopology reads the -topology file, the one declaration of the
+// cluster's layout and coordinator options.
+func readTopology(path string) (*api.Topology, error) {
+	if path == "" {
+		return nil, fmt.Errorf("rkcluster: -topology is required (a JSON file with a \"local\" section or a \"shards\" list; see the README's \"Replication & failover\")")
 	}
-	t := &api.Topology{
-		Partitioner:       partName,
-		StrictConsistency: strict,
-		FirstRoundK:       firstRoundK,
-		CacheMB:           cacheMB,
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
 	}
-	if backendList != "" {
-		for _, url := range strings.Split(backendList, ",") {
-			t.Shards = append(t.Shards, api.TopologyShard{Replicas: []string{strings.TrimSpace(url)}})
-		}
-	} else {
-		t.Local = &api.LocalTopology{Shards: shards, Replicas: replicas, PoolSize: poolSize}
-	}
-	if err := t.Validate(); err != nil {
-		return nil, fmt.Errorf("rkcluster: %w", err)
+	defer f.Close()
+	t, err := api.ReadTopology(f)
+	if err != nil {
+		return nil, fmt.Errorf("rkcluster: topology %s: %w", path, err)
 	}
 	return t, nil
 }
@@ -333,9 +290,9 @@ func resolveLabels(g *graph.Graph, topo *api.Topology, path string, count int, s
 // remote rkserve replica sets when it lists shards, masked in-process
 // pools (optionally replicated) otherwise.
 func buildCoordinator(g *graph.Graph, topo *api.Topology,
-	refine int, buildIndex bool, h, m float64, k int, seed int64,
+	buildIndex bool, h, m float64, k int, seed int64,
 	labels *hub.Labels, cfg cluster.Config, logger *slog.Logger) (*cluster.Coordinator, error) {
-	opts := core.Options{RefineWorkers: refine, Labels: labels}
+	opts := core.Options{Labels: labels}
 	if P := len(topo.Shards); P > 0 {
 		partName := topo.Partitioner
 		if partName == "" {

@@ -3,17 +3,34 @@ package main
 import (
 	"context"
 	"log/slog"
+	"os"
+	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
 
-	"rkranks/internal/server"
+	"rkranks/internal/api"
 )
+
+// TestTopologyRequired: without -topology the coordinator refuses to
+// start and says which flag is missing.
+func TestTopologyRequired(t *testing.T) {
+	err := run([]string{"-gen", "dblp", "-gen-nodes", "100"}, slog.New(slog.DiscardHandler), nil)
+	if err == nil || !strings.Contains(err.Error(), "-topology is required") {
+		t.Fatalf("run without -topology: %v", err)
+	}
+}
 
 // TestClusterServeAndSigtermDrain boots the real binary path (run) with a
 // 2-shard in-process cluster, exercises the serving surface, and asserts
 // the SIGTERM drain contract.
 func TestClusterServeAndSigtermDrain(t *testing.T) {
+	topo := filepath.Join(t.TempDir(), "topo.json")
+	layout := `{"local": {"shards": 2, "pool_size": 1}, "partitioner": "degree"}`
+	if err := os.WriteFile(topo, []byte(layout), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	logger := slog.New(slog.DiscardHandler)
 	ready := make(chan string, 1)
 	done := make(chan error, 1)
@@ -21,8 +38,7 @@ func TestClusterServeAndSigtermDrain(t *testing.T) {
 		done <- run([]string{
 			"-addr", "127.0.0.1:0",
 			"-gen", "dblp", "-gen-nodes", "1500",
-			"-shards", "2", "-partitioner", "degree",
-			"-pool", "1", "-access-log=false",
+			"-topology", topo, "-access-log=false",
 		}, logger, ready)
 	}()
 
@@ -34,7 +50,7 @@ func TestClusterServeAndSigtermDrain(t *testing.T) {
 	case <-time.After(60 * time.Second):
 		t.Fatal("cluster never became ready")
 	}
-	c := server.NewClient("http://" + addr)
+	c := api.NewClient("http://" + addr)
 
 	doc, err := c.Health(context.Background())
 	if err != nil {

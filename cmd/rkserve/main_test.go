@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"rkranks/internal/server"
+	"rkranks/internal/api"
 )
 
 // TestServeQueryAndSigtermDrain boots the real binary path (run) on an
@@ -36,7 +36,7 @@ func TestServeQueryAndSigtermDrain(t *testing.T) {
 	case <-time.After(60 * time.Second):
 		t.Fatal("server never became ready")
 	}
-	c := server.NewClient("http://" + addr)
+	c := api.NewClient("http://" + addr)
 
 	doc, err := c.Health(context.Background())
 	if err != nil {
@@ -140,7 +140,7 @@ func TestShardFlagMasksCandidates(t *testing.T) {
 	case <-time.After(60 * time.Second):
 		t.Fatal("server never became ready")
 	}
-	c := server.NewClient("http://" + addr)
+	c := api.NewClient("http://" + addr)
 	resp, err := c.Query(context.Background(), "dynamic", 4, 10, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +185,7 @@ func TestCacheFlagServesRepeatsFromCache(t *testing.T) {
 	case <-time.After(60 * time.Second):
 		t.Fatal("server never became ready")
 	}
-	c := server.NewClient("http://" + addr)
+	c := api.NewClient("http://" + addr)
 	first, err := c.Query(context.Background(), "dynamic", 5, 4, 0)
 	if err != nil {
 		t.Fatal(err)

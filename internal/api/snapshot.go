@@ -1,6 +1,11 @@
 package api
 
-import "rkranks/internal/core"
+import (
+	"time"
+
+	"rkranks/internal/core"
+	"rkranks/internal/stats"
+)
 
 // Snapshot is the /statsz document. Field names are part of the wire
 // protocol: add, never rename.
@@ -98,4 +103,43 @@ type LatencySnapshot struct {
 	P99    float64 `json:"p99"`
 	Mean   float64 `json:"mean"`
 	Window int     `json:"window"`
+}
+
+// LatencyRing is a fixed-size window of recent latencies, the store
+// behind every LatencySnapshot on /statsz. It is not safe for concurrent
+// use; callers serialize access.
+type LatencyRing struct {
+	buf []float64 // seconds
+	n   int       // valid prefix length
+	idx int
+}
+
+// NewLatencyRing returns a ring that keeps the last window latencies.
+func NewLatencyRing(window int) *LatencyRing {
+	return &LatencyRing{buf: make([]float64, window)}
+}
+
+// Observe records one latency, evicting the oldest once the window is
+// full.
+func (r *LatencyRing) Observe(d time.Duration) {
+	r.buf[r.idx] = d.Seconds()
+	r.idx = (r.idx + 1) % len(r.buf)
+	if r.n < len(r.buf) {
+		r.n++
+	}
+}
+
+// Snapshot reports the window's percentiles and mean in milliseconds.
+func (r *LatencyRing) Snapshot() LatencySnapshot {
+	if r.n == 0 {
+		return LatencySnapshot{}
+	}
+	window := r.buf[:r.n]
+	return LatencySnapshot{
+		P50:    1000 * stats.Percentile(window, 50),
+		P90:    1000 * stats.Percentile(window, 90),
+		P99:    1000 * stats.Percentile(window, 99),
+		Mean:   1000 * stats.Mean(window),
+		Window: r.n,
+	}
 }

@@ -9,11 +9,11 @@ import (
 
 // Topology is the declarative cluster layout consumed by rkcluster's
 // -topology flag (and promoted to the public surface as
-// rkranks.Topology). It replaces the positional -shards/-backends flag
-// spec: one JSON document names every shard group with its replica set,
-// plus the coordinator-level options that used to be scattered across
-// flags. Zero values mean the documented defaults throughout, matching
-// the options convention of the rest of the surface.
+// rkranks.Topology), the only way to declare a cluster: one JSON document
+// names every shard group with its replica set, plus the
+// coordinator-level options. Zero values mean the documented defaults
+// throughout, matching the options convention of the rest of the
+// surface.
 //
 // Remote form — each entry of Shards is one shard group; replicas are
 // rkserve base URLs all serving the same shard mask (shard i of

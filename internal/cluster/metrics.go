@@ -5,52 +5,14 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rkranks/internal/api"
 	"rkranks/internal/obs"
-	"rkranks/internal/stats"
 )
 
 // latWindow sizes the recent-latency rings (coordinator, max-shard, and
 // per-shard): big enough for stable p99, small enough to track current
 // behavior.
 const latWindow = 1024
-
-// latRing is a fixed-size latency window with percentile snapshots.
-type latRing struct {
-	buf [latWindow]float64 // seconds
-	n   int
-	idx int
-}
-
-func (r *latRing) observe(d time.Duration) {
-	r.buf[r.idx] = d.Seconds()
-	r.idx = (r.idx + 1) % latWindow
-	if r.n < latWindow {
-		r.n++
-	}
-}
-
-func (r *latRing) snapshot() LatencySnapshot {
-	if r.n == 0 {
-		return LatencySnapshot{}
-	}
-	window := make([]float64, r.n)
-	copy(window, r.buf[:r.n])
-	return LatencySnapshot{
-		P50:    1000 * stats.Percentile(window, 50),
-		P99:    1000 * stats.Percentile(window, 99),
-		Mean:   1000 * stats.Mean(window),
-		Window: r.n,
-	}
-}
-
-// LatencySnapshot reports percentiles over a recent-latency window, in
-// milliseconds. Field names are part of the /statsz wire format.
-type LatencySnapshot struct {
-	P50    float64 `json:"p50"`
-	P99    float64 `json:"p99"`
-	Mean   float64 `json:"mean"`
-	Window int     `json:"window"`
-}
 
 // metrics aggregates coordinator telemetry. The monotone counters are
 // obs instruments — /statsz reads them back with Value(), so the cluster
@@ -74,9 +36,9 @@ type metrics struct {
 	batchRPCs    *obs.Counter // shard RPCs spent on batch scatters (all rounds)
 	batchQueries *obs.Counter // queries carried by batch scatters
 
-	coord    latRing // whole scatter-gather-merge per query
-	maxShard latRing // slowest shard RPC per query
-	batch    latRing // whole batch scatter-merge per batch
+	coord    *api.LatencyRing // whole scatter-gather-merge per query
+	maxShard *api.LatencyRing // slowest shard RPC per query
+	batch    *api.LatencyRing // whole batch scatter-merge per batch
 
 	shards []*shardMetrics
 }
@@ -87,7 +49,7 @@ type shardMetrics struct {
 	mu      sync.Mutex
 	queries int64
 	errors  int64
-	lat     latRing
+	lat     *api.LatencyRing
 }
 
 func newMetrics(shards int, om *obs.Metrics) *metrics {
@@ -105,10 +67,13 @@ func newMetrics(shards int, om *obs.Metrics) *metrics {
 		batches:        om.ClusterBatches,
 		batchRPCs:      om.ClusterBatchRPCs,
 		batchQueries:   om.ClusterBatchQueries,
+		coord:          api.NewLatencyRing(latWindow),
+		maxShard:       api.NewLatencyRing(latWindow),
+		batch:          api.NewLatencyRing(latWindow),
 		shards:         make([]*shardMetrics, shards),
 	}
 	for i := range m.shards {
-		m.shards[i] = &shardMetrics{}
+		m.shards[i] = &shardMetrics{lat: api.NewLatencyRing(latWindow)}
 	}
 	return m
 }
@@ -121,7 +86,7 @@ func (m *metrics) observeShard(shard int, elapsed time.Duration, err error) {
 	if err != nil {
 		s.errors++
 	} else {
-		s.lat.observe(elapsed)
+		s.lat.Observe(elapsed)
 	}
 	s.mu.Unlock()
 	if err != nil {
@@ -140,9 +105,9 @@ func (m *metrics) observeQuery(elapsed, maxShard time.Duration, transferred, esc
 	m.shortCircuited.Add(int64(shortCircuited))
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.coord.observe(elapsed)
+	m.coord.Observe(elapsed)
 	if maxShard > 0 {
-		m.maxShard.observe(maxShard)
+		m.maxShard.Observe(maxShard)
 	}
 }
 
@@ -159,9 +124,9 @@ func (m *metrics) observeBatch(elapsed, maxShard time.Duration, rpcs, queries, t
 	m.shortCircuited.Add(int64(shortCircuited))
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.batch.observe(elapsed)
+	m.batch.Observe(elapsed)
 	if maxShard > 0 {
-		m.maxShard.observe(maxShard)
+		m.maxShard.Observe(maxShard)
 	}
 }
 
@@ -202,23 +167,23 @@ type Snapshot struct {
 	// between them is the merge + fan-out overhead the coordinator adds
 	// over its slowest shard. Batch is the whole-batch latency of batch
 	// scatters.
-	Coordinator LatencySnapshot `json:"coordinator_ms"`
-	MaxShard    LatencySnapshot `json:"max_shard_ms"`
-	Batch       LatencySnapshot `json:"batch_ms"`
+	Coordinator api.LatencySnapshot `json:"coordinator_ms"`
+	MaxShard    api.LatencySnapshot `json:"max_shard_ms"`
+	Batch       api.LatencySnapshot `json:"batch_ms"`
 
 	Shards []ShardSnapshot `json:"shards"`
 }
 
 // ShardSnapshot is one shard's health and load view.
 type ShardSnapshot struct {
-	ID        int             `json:"id"`
-	Backend   string          `json:"backend"`
-	Available bool            `json:"available"`
-	Size      int             `json:"size"`
-	InFlight  int64           `json:"in_flight"`
-	Queries   int64           `json:"queries"`
-	Errors    int64           `json:"errors"`
-	Latency   LatencySnapshot `json:"latency_ms"`
+	ID        int                 `json:"id"`
+	Backend   string              `json:"backend"`
+	Available bool                `json:"available"`
+	Size      int                 `json:"size"`
+	InFlight  int64               `json:"in_flight"`
+	Queries   int64               `json:"queries"`
+	Errors    int64               `json:"errors"`
+	Latency   api.LatencySnapshot `json:"latency_ms"`
 }
 
 func (m *metrics) snapshot() Snapshot {
@@ -234,9 +199,9 @@ func (m *metrics) snapshot() Snapshot {
 		Batches:            m.batches.Value(),
 		BatchRPCs:          m.batchRPCs.Value(),
 		BatchQueries:       m.batchQueries.Value(),
-		Coordinator:        m.coord.snapshot(),
-		MaxShard:           m.maxShard.snapshot(),
-		Batch:              m.batch.snapshot(),
+		Coordinator:        m.coord.Snapshot(),
+		MaxShard:           m.maxShard.Snapshot(),
+		Batch:              m.batch.Snapshot(),
 		Shards:             make([]ShardSnapshot, len(m.shards)),
 	}
 	m.mu.Unlock()
@@ -247,7 +212,7 @@ func (m *metrics) snapshot() Snapshot {
 			InFlight: s.inFlight.Load(),
 			Queries:  s.queries,
 			Errors:   s.errors,
-			Latency:  s.lat.snapshot(),
+			Latency:  s.lat.Snapshot(),
 		}
 		s.mu.Unlock()
 	}

@@ -277,11 +277,10 @@ func (e *Engine) lowerBound(v, check int32) int32 {
 	return e.lowerBoundAt(v, check, true)
 }
 
-// lowerBoundAt is lowerBound with the Table-11 win attribution optional:
-// the speculative coordinator evaluates the bound twice per candidate —
-// once on stale state to decide whether launching a refinement could be
-// worthwhile, once at apply time for the real (serial-order) decision —
-// and only the latter may touch the stats.
+// lowerBoundAt is lowerBound with the Table-11 win attribution optional.
+// refineParent bounds out-of-class parents with attribute=false: they are
+// not candidates, so their bounds must not count toward the Table 11
+// wins, which describe candidate decisions.
 func (e *Engine) lowerBoundAt(v, check int32, attribute bool) int32 {
 	var height, count, parent int32
 	if e.bounds&BoundHeight != 0 {

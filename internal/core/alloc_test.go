@@ -10,29 +10,25 @@ import (
 
 // TestSteadyStateAllocations: after warm-up, a query's allocations are a
 // small constant (result assembly only) regardless of how much of the
-// graph it touches — the epoch-reset workspaces must not reallocate. This
-// holds for the serial engine and for the speculative parallel pipeline
-// (persistent workers, reusable job slab and ring).
+// graph it touches — the epoch-reset workspaces must not reallocate.
 func TestSteadyStateAllocations(t *testing.T) {
 	g := gen.DBLPLike(gen.DBLPLikeParams{Nodes: 2000, AttachPerNode: 5, Seed: 5})
-	for _, workers := range []int{0, 2} {
-		e := NewEngine(g, Options{RefineWorkers: workers})
-		// Warm up: grow the refinement scratch and heap to their
-		// high-water marks across a few representative queries.
-		for q := int32(0); q < 50; q += 5 {
-			if _, err := e.Query(Dynamic, q, 10); err != nil {
-				t.Fatal(err)
-			}
+	e := NewEngine(g, Options{})
+	// Warm up: grow the refinement scratch and heap to their high-water
+	// marks across a few representative queries.
+	for q := int32(0); q < 50; q += 5 {
+		if _, err := e.Query(Dynamic, q, 10); err != nil {
+			t.Fatal(err)
 		}
-		const perQueryBudget = 2 // Result struct + sorted entries copy, nothing else
-		avg := testing.AllocsPerRun(20, func() {
-			if _, err := e.Query(Dynamic, 25, 10); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if avg > perQueryBudget {
-			t.Errorf("workers=%d: steady-state allocations per query = %.1f, budget %d", workers, avg, perQueryBudget)
+	}
+	const perQueryBudget = 2 // Result struct + sorted entries copy, nothing else
+	avg := testing.AllocsPerRun(20, func() {
+		if _, err := e.Query(Dynamic, 25, 10); err != nil {
+			t.Fatal(err)
 		}
+	})
+	if avg > perQueryBudget {
+		t.Errorf("steady-state allocations per query = %.1f, budget %d", avg, perQueryBudget)
 	}
 }
 

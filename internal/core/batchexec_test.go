@@ -176,34 +176,6 @@ func TestBatchBichromatic(t *testing.T) {
 	}
 }
 
-// TestBatchWithRefineWorkers runs batches on engines with the speculative
-// intra-query pipeline enabled; the arena's replay hook sits on the inline
-// path only, and results must stay canonical.
-func TestBatchWithRefineWorkers(t *testing.T) {
-	g := gen.DBLPLike(gen.DBLPLikeParams{Nodes: 150, AttachPerNode: 4, Seed: 7})
-	qs := batchQueries(g.N())
-	for _, a := range []Algorithm{Naive, Dynamic} {
-		want := make([]*Result, len(qs))
-		for i, q := range qs {
-			res, err := NewEngine(g, Options{}).Query(a, q, 6)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want[i] = res
-		}
-		p := NewPool(g, Options{RefineWorkers: 2}, 2)
-		got, err := p.QueryMany(a, qs, 6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range qs {
-			if !reflect.DeepEqual(got[i].Entries, want[i].Entries) {
-				t.Fatalf("%v query %d: batch %v, standalone %v", a, qs[i], got[i].Entries, want[i].Entries)
-			}
-		}
-	}
-}
-
 // TestArenaReplayRules unit-tests the replay scan against hand-built logs.
 func TestArenaReplayRules(t *testing.T) {
 	a := newBatchArena(10)

@@ -7,13 +7,30 @@ import (
 	"rkranks/internal/gen"
 	"rkranks/internal/graph"
 	"rkranks/internal/hub"
+	"rkranks/internal/ridx"
 )
+
+// buildTestIndex returns a fresh serial index for g over the given
+// candidate and counted classes. Indexed queries mutate their index, so a
+// test that compares several engines clones it once per engine.
+func buildTestIndex(t *testing.T, g *graph.Graph, maxK int, candidates, counted []bool) *ridx.SerialIndex {
+	t.Helper()
+	ix, err := ridx.Build(g, ridx.BuildParams{
+		Hubs:    hub.Select(g, hub.DegreeFirst, g.N()/10+1, hub.Options{Seed: 9}),
+		M:       g.N() / 5,
+		K:       maxK,
+		Counted: counted, Candidates: candidates,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
+}
 
 // TestMaskedEnginesMatchNaive checks every engine under candidate-only
 // masks (the cluster's shard masks, where refineParent gives out-of-class
-// nodes their own bound) against Naive with the same mask: Dynamic and
-// Indexed serially and with speculative refine workers, and HubLabel over
-// a complete and a partial labeling.
+// nodes their own bound) against Naive with the same mask: Dynamic,
+// Indexed, and HubLabel over a complete and a partial labeling.
 func TestMaskedEnginesMatchNaive(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"dblp":           gen.DBLPLike(gen.DBLPLikeParams{Nodes: 240, AttachPerNode: 4, ExtraCollabFactor: 0.5, Seed: 3}),
@@ -44,9 +61,7 @@ func TestMaskedEnginesMatchNaive(t *testing.T) {
 					e     *Engine
 				}{
 					{"dynamic", Dynamic, NewEngine(g, Options{Candidates: mask})},
-					{"dynamic/workers", Dynamic, NewEngine(g, Options{Candidates: mask, RefineWorkers: 2})},
 					{"indexed", Indexed, NewEngine(g, Options{Candidates: mask})},
-					{"indexed/workers", Indexed, NewEngine(g, Options{Candidates: mask, RefineWorkers: 2})},
 					{"hublabel/full", HubLabel, NewEngine(g, Options{Candidates: mask, Labels: full})},
 					{"hublabel/partial", HubLabel, NewEngine(g, Options{Candidates: mask, Labels: partial})},
 				}

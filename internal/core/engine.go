@@ -16,10 +16,8 @@ import (
 
 // Engine evaluates reverse k-ranks queries against one graph. It owns
 // reusable per-query workspaces (Dijkstra searches plus epoch-stamped
-// node arrays), so queries after the first allocate nothing.
-// Options.RefineWorkers > 0 additionally starts that many persistent
-// worker goroutines on the engine's first query; they park between
-// queries and exit when the engine is garbage collected (parallel.go).
+// node arrays), so queries after the first allocate nothing. A query runs
+// entirely on its caller's goroutine.
 //
 // An Engine is not safe for concurrent use; create one per goroutine. An
 // attached index is both read and written by Indexed queries (that is the
@@ -27,9 +25,7 @@ import (
 // and only if it is a concurrency-safe implementation (ridx.ShardedIndex,
 // reported by Index.Concurrent) — a Pool built with NewPoolWithIndex
 // arranges exactly that. A ridx.SerialIndex must stay private to one
-// engine. Intra-query refine workers never touch the index (all index
-// traffic stays on the coordinating goroutine), so RefineWorkers composes
-// with either index implementation.
+// engine.
 type Engine struct {
 	g      *graph.Graph
 	opts   Options
@@ -37,8 +33,7 @@ type Engine struct {
 	labels *hub.Labels // from Options.Labels; enables HubLabel queries
 
 	tree *sssp.Search // transpose traversal from q (SDS-tree)
-	rf   *refiner     // serial refinement workspace (see refiner.go)
-	par  *parallelState
+	rf   *refiner     // refinement workspace (see refiner.go)
 
 	epoch   uint32
 	lcount  []int32 // Lemma-4 visit counters
@@ -149,12 +144,11 @@ func (e *Engine) Query(a Algorithm, q int32, k int) (*Result, error) {
 }
 
 // QueryContext is Query with cancellation: when ctx is canceled or its
-// deadline passes, the traversal and every in-flight rank refinement
-// (including speculative worker runs) stop within a bounded number of
-// settles and the call returns ctx's error. A canceled query leaves the
-// engine (and any shared index) in a consistent state — cancellation
-// discards work, it never applies partial results — so the engine is
-// immediately reusable.
+// deadline passes, the traversal and any in-flight rank refinement stop
+// within a bounded number of settles and the call returns ctx's error. A
+// canceled query leaves the engine (and any shared index) in a consistent
+// state — cancellation discards work, it never applies partial results —
+// so the engine is immediately reusable.
 func (e *Engine) QueryContext(ctx context.Context, a Algorithm, q int32, k int) (*Result, error) {
 	if err := validateRequest(a, k); err != nil {
 		return nil, err
@@ -212,21 +206,11 @@ func (e *Engine) QueryContext(ctx context.Context, a Algorithm, q int32, k int) 
 	return res, nil
 }
 
-// dispatch routes a validated query to its engine implementation. HubLabel
-// always runs serially, even with RefineWorkers set: label pruning removes
-// exactly the refinements the speculative pipeline would overlap, so the
-// workers would mostly produce wasted speculation.
+// dispatch routes a validated query to its engine implementation.
 func (e *Engine) dispatch(a Algorithm, q int32, k int) *Result {
-	if a == HubLabel {
-		return e.hubLabel(q, k)
-	}
-	if e.opts.refineWorkers() > 0 {
-		if a == Naive {
-			return e.naiveParallel(q, k)
-		}
-		return e.treeParallel(a, q, k)
-	}
 	switch a {
+	case HubLabel:
+		return e.hubLabel(q, k)
 	case Naive:
 		return e.naive(q, k)
 	case Static:
@@ -286,10 +270,12 @@ func (e *Engine) counted(v int32) bool {
 
 // markTreeSettled records the pop order of the SDS-tree traversal and
 // returns v's sequence number. The Lemma-4 bookkeeping asks "was t settled
-// when candidate p was refined?"; under speculative refinement nodes are
-// popped (and marked) before earlier candidates' side effects are applied,
-// so the engine compares pop sequence numbers instead of consulting the
-// tree's live settled set — which reproduces the serial answer exactly.
+// when candidate p was refined?". refineParent refines an out-of-class
+// parent p only when p's first child is dequeued, after later pops have
+// settled more of the tree, so the engine compares pop sequence numbers
+// instead of consulting the tree's live settled set. Nodes popped after p
+// satisfy Lemma 4's d(p,q) <= d(t,q) and keep their counter bumps, which
+// a pending parent among them reads when it is refined in turn.
 func (e *Engine) markTreeSettled(v int32) int32 {
 	e.seq++
 	e.sseq[v] = e.seq
@@ -446,8 +432,8 @@ func (e *Engine) refine(p int32, dpq float64, seq int32) (bound int32, exact boo
 		// yields the decision triple and log prefix a fresh serial run
 		// would have produced byte-for-byte (see batchexec.go), so the
 		// applied side effects are identical; only RefineSettled differs
-		// (a replay settles nothing — like the speculative pipeline, the
-		// effort counters describe work actually performed).
+		// (a replay settles nothing: the effort counters describe work
+		// actually performed).
 		cut := refineCutoff(dpq, e.opts.DisableDistanceCutoff)
 		if out, log, ok := a.replay(p, e.q, dpq, cut, kRank); ok {
 			a.shared++
@@ -481,7 +467,7 @@ func (e *Engine) refine(p int32, dpq float64, seq int32) (bound int32, exact boo
 		return res.bound, res.exact
 	}
 	var out refineResult
-	out, e.scratch = e.rf.run(p, dpq, kRank, nil, nil, e.scratch[:0])
+	out, e.scratch = e.rf.run(p, dpq, kRank, e.scratch[:0])
 	e.stats.RefineSettled += out.settled
 	if out.stopped {
 		// The query's context was canceled mid-refinement: the truncated
@@ -514,9 +500,7 @@ func (e *Engine) refine(p int32, dpq float64, seq int32) (bound int32, exact boo
 // seq is p's pop sequence number: nodes popped from the SDS-tree at or
 // before it never read their counter again — and for them the lemma's
 // d(p,q) <= d(t,q) precondition no longer holds — so they are skipped
-// (Lemma 3/4). In parallel mode the log and (bound, exact, stopLevel) come
-// from replayRefinement, so the effects applied here are byte-identical to
-// a serial run's.
+// (Lemma 3/4).
 func (e *Engine) applyRefineLog(p int32, log []settleRec, bound int32, exact bool, stopLevel float64, seq int32) {
 	if !e.useLc && !e.indexing {
 		return

@@ -9,7 +9,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 
 	"rkranks/internal/graph"
 	"rkranks/internal/hub"
@@ -158,21 +157,6 @@ type Options struct {
 	// ablation benchmark — leave it false in production.
 	DisableDistanceCutoff bool
 
-	// RefineWorkers enables intra-query parallel rank refinement: the
-	// SDS-tree traversal stays on the calling goroutine while up to this
-	// many worker goroutines speculatively run the rank refinements of
-	// candidates inside a bounded lookahead window (see parallel.go).
-	// Results are byte-identical to a serial run — speculation only ever
-	// costs extra settled nodes, reflected in Stats.RefineSettled and the
-	// Stats.Speculative* counters. 0 (the default) refines serially on
-	// the calling goroutine; < 0 uses runtime.GOMAXPROCS(0).
-	//
-	// RefineWorkers cuts the latency of an individual query; a Pool cuts
-	// the latency of a backlog. When both are in play, budget
-	// (pool size) x (1 + RefineWorkers) against the machine — NewPool
-	// does this automatically for default-sized pools.
-	RefineWorkers int
-
 	// Labels attaches a precomputed pruned 2-hop hub labeling
 	// (hub.BuildLabels / hub.ReadLabels) and enables the HubLabel engine.
 	// The labeling must cover the same graph the engine queries (same node
@@ -180,15 +164,6 @@ type Options struct {
 	// candidate-slice length checks). Labels are read-only and safely
 	// shared by every engine, pool, and shard built from the same Options.
 	Labels *hub.Labels
-}
-
-// refineWorkers resolves the RefineWorkers option to an effective worker
-// count.
-func (o *Options) refineWorkers() int {
-	if o.RefineWorkers < 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return o.RefineWorkers
 }
 
 func (o *Options) bichromatic() bool { return o.Candidates != nil || o.Counted != nil }

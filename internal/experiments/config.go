@@ -1,7 +1,6 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (Section 6) on the synthetic stand-in datasets described in
-// DESIGN.md §4. Each experiment returns a stats.Table whose rows mirror the
-// paper's; EXPERIMENTS.md records paper-vs-measured values.
+// evaluation (Section 6) on the synthetic stand-in datasets of package gen.
+// Each experiment returns a stats.Table whose rows mirror the paper's.
 package experiments
 
 import (
@@ -49,10 +48,6 @@ type Config struct {
 	// to (<= 0 uses GOMAXPROCS).
 	Workers int
 
-	// RefineWorkers is the maximum intra-query refine worker count the
-	// latency experiment sweeps to (<= 0 uses GOMAXPROCS).
-	RefineWorkers int
-
 	Seed int64
 }
 
@@ -84,12 +79,11 @@ func Small() Config {
 		Queries: 12, NaiveQueries: 4,
 		Ks: []int{5, 10, 20}, KMax: 20,
 		HubFrac: 0.1, IndexFrac: 0.1,
-		HFracs:        []float64{0.03, 0.1, 0.15},
-		MFracs:        []float64{0.03, 0.1, 0.15},
-		Strategy:      hub.DegreeFirst,
-		Workers:       4,
-		RefineWorkers: 4,
-		Seed:          1,
+		HFracs:   []float64{0.03, 0.1, 0.15},
+		MFracs:   []float64{0.03, 0.1, 0.15},
+		Strategy: hub.DegreeFirst,
+		Workers:  4,
+		Seed:     1,
 	}
 }
 

@@ -156,7 +156,7 @@ func runBatch(e *core.Engine, algo core.Algorithm, queries []int32, k int) (batc
 // Experiment names, in paper order; "serving", "latency", "serving_http",
 // "serving_cluster", "serving_batch", and "hublabel" extend the paper's
 // evaluation with the pooled-concurrency throughput study, the
-// intra-query parallel refinement latency study, the HTTP serving-stack
+// single-query latency and allocation study, the HTTP serving-stack
 // load sweep, the sharded scatter-gather study (rank-floor pruning vs
 // naive gather across shard counts, through internal/cluster), the
 // batch-scatter plus response-cache study (internal/cache over

@@ -3,8 +3,7 @@
 // San Francisco road network); each generator here reproduces the
 // structural properties that drive reverse k-ranks behaviour on its real
 // counterpart — degree skew, directedness, weight distribution, and (for
-// the road network) planar low-degree topology. See DESIGN.md §4 for the
-// substitution rationale.
+// the road network) planar low-degree topology.
 package gen
 
 import (

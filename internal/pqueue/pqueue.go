@@ -123,16 +123,6 @@ func (q *Queue) Push(v int32, p float64) bool {
 	return true
 }
 
-// Min returns the node and priority PopMin would return, without removing
-// it. ok is false when the queue is empty.
-func (q *Queue) Min() (v int32, p float64, ok bool) {
-	if len(q.heap) == 0 {
-		return -1, 0, false
-	}
-	e := q.heap[0]
-	return e.node, e.prio, true
-}
-
 // PopMin removes and returns the queued node with the smallest priority,
 // breaking ties toward the smaller node id for determinism.
 func (q *Queue) PopMin() (int32, float64) {

@@ -275,25 +275,6 @@ func popReference(final map[int32]float64) (int32, float64) {
 	return best, bp
 }
 
-func TestMinPeek(t *testing.T) {
-	q := New(4)
-	q.Reset()
-	if _, _, ok := q.Min(); ok {
-		t.Error("Min on empty queue reported ok")
-	}
-	q.Push(2, 3.5)
-	q.Push(1, 1.5)
-	if v, p, ok := q.Min(); !ok || v != 1 || p != 1.5 {
-		t.Errorf("Min = (%d,%g,%v), want (1,1.5,true)", v, p, ok)
-	}
-	if q.Len() != 2 {
-		t.Error("Min consumed an entry")
-	}
-	if v, _ := q.PopMin(); v != 1 {
-		t.Error("Min disagreed with PopMin")
-	}
-}
-
 func TestPopped(t *testing.T) {
 	q := New(3)
 	q.Reset()

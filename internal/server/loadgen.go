@@ -67,7 +67,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadResult, error) {
 	if cfg.MaxOutstanding <= 0 {
 		cfg.MaxOutstanding = 4096
 	}
-	client := NewClient(cfg.URL)
+	client := api.NewClient(cfg.URL)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	res := &LoadResult{Offered: cfg.Rate}
@@ -152,6 +152,6 @@ arrivals:
 }
 
 func isStatus(err error, status int) bool {
-	var se *StatusError
+	var se *api.StatusError
 	return errors.As(err, &se) && se.Status == status
 }

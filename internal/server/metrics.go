@@ -7,7 +7,6 @@ import (
 	"rkranks/internal/api"
 	"rkranks/internal/core"
 	"rkranks/internal/obs"
-	"rkranks/internal/stats"
 )
 
 // Route classes label every serving-level metric series. The set is
@@ -31,38 +30,6 @@ const latWindow = 2048
 // qpsBuckets is the per-second request-count ring backing the QPS rates.
 const qpsBuckets = 64
 
-// latRing is one route class's recent-latency window. Before these were
-// split per route, a burst of slow mutations (a CSR rebuild) or batches
-// would drag the "query" percentiles an operator was actually watching.
-type latRing struct {
-	buf [latWindow]float64 // seconds
-	n   int                // valid prefix length
-	idx int
-}
-
-func (r *latRing) observe(d time.Duration) {
-	r.buf[r.idx] = d.Seconds()
-	r.idx = (r.idx + 1) % latWindow
-	if r.n < latWindow {
-		r.n++
-	}
-}
-
-func (r *latRing) snapshot() LatencySnapshot {
-	if r.n == 0 {
-		return LatencySnapshot{}
-	}
-	window := make([]float64, r.n)
-	copy(window, r.buf[:r.n])
-	return LatencySnapshot{
-		P50:    1000 * stats.Percentile(window, 50),
-		P90:    1000 * stats.Percentile(window, 90),
-		P99:    1000 * stats.Percentile(window, 99),
-		Mean:   1000 * stats.Mean(window),
-		Window: r.n,
-	}
-}
-
 // metrics aggregates serving telemetry. Every monotone counter is an obs
 // instrument — /statsz reads them back with Value(), so the /statsz and
 // /metrics numbers are one storage and can never disagree. The mutex
@@ -80,7 +47,10 @@ type metrics struct {
 	mu        sync.Mutex
 	responses map[string]map[string]*obs.Counter // route -> status class
 
-	lat map[string]*latRing // per route class, successful requests only
+	// Per route class, successful requests only. Split per route so a
+	// burst of slow mutations (a CSR rebuild) or batches cannot drag the
+	// "query" percentiles an operator is actually watching.
+	lat map[string]*api.LatencyRing
 
 	secCount [qpsBuckets]int64 // requests landing in second secStamp[i]
 	secStamp [qpsBuckets]int64
@@ -101,13 +71,13 @@ func newMetrics(om *obs.Metrics) *metrics {
 		requests:  make(map[string]*obs.Counter, len(routeClasses)),
 		latency:   make(map[string]*obs.Histogram, len(routeClasses)),
 		responses: make(map[string]map[string]*obs.Counter, len(routeClasses)),
-		lat:       make(map[string]*latRing, len(routeClasses)),
+		lat:       make(map[string]*api.LatencyRing, len(routeClasses)),
 	}
 	for _, route := range routeClasses {
 		m.requests[route] = om.Requests.With(route)
 		m.latency[route] = om.RequestSeconds.With(route)
 		m.responses[route] = make(map[string]*obs.Counter, len(statusClassNames))
-		m.lat[route] = &latRing{}
+		m.lat[route] = api.NewLatencyRing(latWindow)
 	}
 	return m
 }
@@ -172,7 +142,7 @@ func (m *metrics) observe(route string, status int, elapsed time.Duration, st *c
 	}
 	m.secCount[i]++
 	if status == 200 {
-		m.lat[route].observe(elapsed)
+		m.lat[route].Observe(elapsed)
 	}
 	if st != nil {
 		m.query.Add(*st)
@@ -229,9 +199,9 @@ func (m *metrics) snapshot() Snapshot {
 
 	// The historic top-level window is the query route's, so dashboards
 	// reading latency_ms keep seeing what they always meant to see.
-	snap.Latency = m.lat[routeQuery].snapshot()
+	snap.Latency = m.lat[routeQuery].Snapshot()
 	for _, route := range routeClasses {
-		if ls := m.lat[route].snapshot(); ls.Window > 0 {
+		if ls := m.lat[route].Snapshot(); ls.Window > 0 {
 			if snap.LatencyByRoute == nil {
 				snap.LatencyByRoute = map[string]LatencySnapshot{}
 			}

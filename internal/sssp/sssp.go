@@ -122,14 +122,6 @@ func (s *Search) Pop() (v int32, dist float64, ok bool) {
 	return v, dist, true
 }
 
-// Peek returns the node Pop would settle next, without settling it. ok is
-// false when the frontier is exhausted. The speculative refinement
-// coordinator uses this to test a pop against its lookahead safety bound
-// before committing to it.
-func (s *Search) Peek() (v int32, dist float64, ok bool) {
-	return s.q.Min()
-}
-
 // PopExpandBounded fuses Pop with ExpandBounded for the rank-refinement
 // inner loop, where every settled node is expanded immediately and the
 // per-node cost of two exported calls is measurable. The returned node has

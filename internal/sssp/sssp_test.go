@@ -333,21 +333,3 @@ func TestPopExpandBoundedMatchesSplitCalls(t *testing.T) {
 		}
 	}
 }
-
-// TestPeek: Peek must preview the next Pop without consuming it.
-func TestPeekPreviewsPop(t *testing.T) {
-	g := gen.GNM(60, 200, false, 62)
-	s := New(g)
-	s.Reset(3)
-	for {
-		pv, pd, pok := s.Peek()
-		v, d, ok := s.Pop()
-		if pok != ok || pv != v || pd != d {
-			t.Fatalf("Peek (%d,%g,%v) disagrees with Pop (%d,%g,%v)", pv, pd, pok, v, d, ok)
-		}
-		if !ok {
-			break
-		}
-		s.Expand(v, d)
-	}
-}

@@ -56,19 +56,8 @@
 //	pool, _ := rkranks.NewPoolWithIndex(g, rkranks.Options{}, 0, ix)
 //	res, _ := pool.Query(rkranks.Indexed, q, 10) // safe from any goroutine
 //
-// Pools parallelize ACROSS queries; Options.RefineWorkers parallelizes
-// WITHIN one: the rank refinements — the dominant query cost — run
-// speculatively on that many worker goroutines while the traversal stays
-// on the calling goroutine, cutting single-query latency on idle cores:
-//
-//	e := rkranks.NewEngine(g, rkranks.Options{RefineWorkers: 4})
-//	res, _ := e.Query(rkranks.Dynamic, q, 10)
-//
-// Results are byte-identical to a serial run for every engine; only the
-// work counters (Stats.RefineSettled, Stats.Speculative*) can tell the
-// difference. Default-sized pools budget GOMAXPROCS across engines and
-// their refine workers; see the README's "Intra-query parallelism" for
-// when to prefer which knob.
+// Pools parallelize ACROSS queries: each query runs on its caller's
+// goroutine, and a default-sized pool holds GOMAXPROCS engines.
 //
 // Every query entry point has a context-aware variant
 // (Engine.QueryContext, Pool.QueryContext, Pool.QueryManyContext):
@@ -351,7 +340,7 @@ func NewCluster(g *Graph, opts Options, co ClusterOptions) (*Cluster, error) {
 }
 
 // Declarative cluster topology. cmd/rkcluster boots from one JSON
-// document instead of positional flags: the shard layout, the replica
+// document: the shard layout, the replica
 // set behind each shard, and the coordinator options all live in one
 // reviewable file (see the README's "Replication & failover" for the
 // format). The types are shared with the wire package, so a topology
