@@ -95,14 +95,22 @@ type QueryRequest struct {
 	// TimeoutMS is the per-request deadline in milliseconds; 0 uses the
 	// server default, values above the server cap are clamped.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
+	// MaxRank is an optional rank ceiling R (0 = none): the answer is the
+	// canonical top-k among candidates with Rank <= R, which is exactly
+	// the unbounded answer's prefix with rank <= R, and may hold fewer
+	// than k entries. A cluster coordinator sends its second scatter
+	// round with R = the merged first-round k-th rank.
+	MaxRank int32 `json:"max_rank,omitempty"`
 }
 
-// BatchRequest is the /v1/batch request document.
+// BatchRequest is the /v1/batch request document. MaxRank applies to
+// every query of the batch (see QueryRequest).
 type BatchRequest struct {
 	Algorithm Algorithm `json:"algorithm,omitempty"`
 	Queries   []int32   `json:"queries"`
 	K         int       `json:"k"`
 	TimeoutMS int64     `json:"timeout_ms,omitempty"`
+	MaxRank   int32     `json:"max_rank,omitempty"`
 }
 
 // Entry is one (node, rank) result pair on the wire.

@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"time"
 
+	"rkranks/internal/core"
 	"rkranks/internal/graph"
 	"rkranks/internal/obs"
 )
@@ -101,9 +102,11 @@ func (c *Client) Stats(ctx context.Context) (*Snapshot, error) {
 }
 
 // Query posts one reverse k-ranks query. algorithm may be empty (server
-// default); timeout 0 uses the server default deadline.
+// default); timeout 0 uses the server default deadline. A rank ceiling on
+// ctx (core.WithMaxRank) is sent as max_rank, so it crosses the wire like
+// it crosses every in-process layer.
 func (c *Client) Query(ctx context.Context, algorithm Algorithm, q int32, k int, timeout time.Duration) (*QueryResponse, error) {
-	body := QueryRequest{Algorithm: algorithm, Q: q, K: k, TimeoutMS: timeout.Milliseconds()}
+	body := QueryRequest{Algorithm: algorithm, Q: q, K: k, TimeoutMS: timeout.Milliseconds(), MaxRank: core.MaxRank(ctx)}
 	var resp QueryResponse
 	if err := c.post(ctx, "/v1/query", body, &resp); err != nil {
 		return nil, err
@@ -111,9 +114,10 @@ func (c *Client) Query(ctx context.Context, algorithm Algorithm, q int32, k int,
 	return &resp, nil
 }
 
-// Batch posts a multi-query request backed by Pool.QueryMany.
+// Batch posts a multi-query request backed by Pool.QueryMany; like Query,
+// it sends ctx's rank ceiling as max_rank.
 func (c *Client) Batch(ctx context.Context, algorithm Algorithm, queries []int32, k int, timeout time.Duration) (*BatchResponse, error) {
-	body := BatchRequest{Algorithm: algorithm, Queries: queries, K: k, TimeoutMS: timeout.Milliseconds()}
+	body := BatchRequest{Algorithm: algorithm, Queries: queries, K: k, TimeoutMS: timeout.Milliseconds(), MaxRank: core.MaxRank(ctx)}
 	var resp BatchResponse
 	if err := c.post(ctx, "/v1/batch", body, &resp); err != nil {
 		return nil, err

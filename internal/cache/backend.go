@@ -126,7 +126,7 @@ func (b *Backend) QueryContext(ctx context.Context, a core.Algorithm, q int32, k
 	if err := core.ValidateRequest(a, k); err != nil {
 		return nil, err
 	}
-	kk := key{algo: a, q: q, k: k, gen: b.generation()}
+	kk := key{algo: a, q: q, k: k, maxRank: core.MaxRank(ctx), gen: b.generation()}
 	s := b.cache.shardFor(kk)
 
 	// The lookup span covers the atomic hit-or-join-or-lead decision; the
@@ -213,6 +213,7 @@ func (b *Backend) QueryManyContext(ctx context.Context, a core.Algorithm, querie
 		return nil, err
 	}
 	gen := b.generation()
+	maxRank := core.MaxRank(ctx)
 	results := make([]*core.Result, len(queries))
 
 	// One lookup span covers the whole classification pass; per-query
@@ -229,7 +230,7 @@ func (b *Backend) QueryManyContext(ctx context.Context, a core.Algorithm, querie
 	var freshKeys []key
 	var freshFlights []*flight
 	for i, q := range queries {
-		kk := key{algo: a, q: q, k: k, gen: gen}
+		kk := key{algo: a, q: q, k: k, maxRank: maxRank, gen: gen}
 		if f, ok := local[kk]; ok {
 			// Intra-batch duplicate: ride the flight this batch already
 			// waits on instead of taking another ticket.

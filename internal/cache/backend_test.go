@@ -471,3 +471,52 @@ func TestJoiningAbandonedFlightRetries(t *testing.T) {
 		t.Fatalf("joiner result = %+v", joinerRes)
 	}
 }
+
+// TestMaxRankKeysSeparately pins that a bounded request (a rank ceiling
+// on its context, core.WithMaxRank) never hits or fills an unbounded
+// entry, nor one of another ceiling, on the single and the batch path;
+// each answer is the pool's answer under the same ceiling.
+func TestMaxRankKeysSeparately(t *testing.T) {
+	g := gen.DBLPLike(gen.DBLPLikeParams{Nodes: 200, AttachPerNode: 4, ExtraCollabFactor: 0.5, Seed: 3})
+	pool := core.NewPool(g, core.Options{}, 2)
+	cached, err := NewBackend(pool, Config{MaxBytes: 4 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const q, k = 17, 10
+	bg := context.Background()
+	ceilings := []int32{0, 3, 5, 0, 3, 5} // second half: every key cached
+	for i, r := range ceilings {
+		ctx := core.WithMaxRank(bg, r)
+		want, err := pool.QueryContext(ctx, core.Dynamic, q, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := cached.QueryContext(ctx, core.Dynamic, q, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !entriesEqual(got.Entries, want.Entries) || got.MaxRank != r {
+			t.Fatalf("R=%d: cached %v (MaxRank %d), pool %v", r, got.Entries, got.MaxRank, want.Entries)
+		}
+		batch, err := cached.QueryManyContext(ctx, core.Dynamic, []int32{q, q + 1}, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !entriesEqual(batch[0].Entries, want.Entries) || batch[0].MaxRank != r {
+			t.Fatalf("R=%d batch: cached %v (MaxRank %d), pool %v", r, batch[0].Entries, batch[0].MaxRank, want.Entries)
+		}
+		snap := cached.CacheSnapshot().(*Snapshot)
+		wantMisses := int64(2 * min(i+1, 3)) // one single and one batch key per distinct ceiling
+		if snap.Misses != wantMisses {
+			t.Fatalf("after R=%d: %d misses, want %d (a ceiling shared an entry)", r, snap.Misses, wantMisses)
+		}
+	}
+	full, err := pool.Query(core.Dynamic, q, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full.Entries) != k || full.KRank() <= 3 {
+		t.Fatalf("query %d has kRank %d: the ceilings do not cut its answer, the test exercises nothing", q, full.KRank())
+	}
+}

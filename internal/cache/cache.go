@@ -64,11 +64,14 @@ type Config struct {
 // key identifies one cacheable response. Generation is the backend's
 // answer-set generation at lookup time: entries written under an older
 // generation can never be returned again (their key no longer occurs).
+// The rank ceiling is part of the key: a bounded answer is a prefix of
+// the unbounded one, so neither may ever stand in for the other.
 type key struct {
-	algo core.Algorithm
-	q    int32
-	k    int
-	gen  uint64
+	algo    core.Algorithm
+	q       int32
+	k       int
+	maxRank int32 // the request's rank ceiling (core.MaxRank), 0 for none
+	gen     uint64
 }
 
 // entry is one cached result on its shard's LRU list.

@@ -23,6 +23,12 @@ type ShardBackend interface {
 	// Query returns the shard-local canonical top-k. A result shorter
 	// than k means the shard's candidate class is exhausted (the rank
 	// floor the coordinator derives is then vacuous; see core.Floor).
+	// ctx may carry a rank ceiling (core.WithMaxRank; the coordinator's
+	// second round sets one): the answer is then the canonical top-k
+	// filtered to Rank <= the ceiling, and a short one certifies only
+	// that the rest rank above it. Implementations pass ctx on to their
+	// engines (in process) or send the ceiling as max_rank (over the
+	// wire); one that ignores it answers a superset that merges the same.
 	Query(ctx context.Context, a core.Algorithm, q int32, k int) (*core.Result, error)
 	// QueryBatch answers many queries in ONE round trip — one result per
 	// query, in input order, each with the same shard-local canonical
@@ -185,7 +191,7 @@ func (s *RemoteShard) Query(ctx context.Context, a core.Algorithm, q int32, k in
 	if err != nil {
 		return nil, s.mapError(err)
 	}
-	return wireResult(resp, q, k), nil
+	return wireResult(resp, q, k, core.MaxRank(ctx)), nil
 }
 
 // mapError translates a wire error into the typed error the engine layer
@@ -204,13 +210,15 @@ func (s *RemoteShard) mapError(err error) error {
 }
 
 // wireResult rebuilds a core.Result from its wire form, including the
-// generation stamp the coordinator's merge-consistency check compares.
-func wireResult(resp *api.QueryResponse, q int32, k int) *core.Result {
+// generation stamp the coordinator's merge-consistency check compares
+// and the rank ceiling the request carried (the api.Client sends ctx's
+// ceiling as max_rank), which the result's floor certification needs.
+func wireResult(resp *api.QueryResponse, q int32, k int, maxRank int32) *core.Result {
 	entries := make([]rank.Entry, len(resp.Entries))
 	for i, e := range resp.Entries {
 		entries[i] = rank.Entry{Node: e.Node, Rank: e.Rank}
 	}
-	res := &core.Result{Query: q, K: k, Entries: entries, Partial: resp.Partial, Generation: resp.Generation}
+	res := &core.Result{Query: q, K: k, Entries: entries, MaxRank: maxRank, Partial: resp.Partial, Generation: resp.Generation}
 	if resp.Stats != nil {
 		res.Stats = *resp.Stats
 	}
@@ -229,8 +237,9 @@ func (s *RemoteShard) QueryBatch(ctx context.Context, a core.Algorithm, queries 
 		return nil, fmt.Errorf("cluster: shard %s answered %d of %d batch queries", s.url, len(resp.Results), len(queries))
 	}
 	out := make([]*core.Result, len(queries))
+	maxRank := core.MaxRank(ctx)
 	for i := range resp.Results {
-		out[i] = wireResult(&resp.Results[i], queries[i], k)
+		out[i] = wireResult(&resp.Results[i], queries[i], k, maxRank)
 	}
 	return out, nil
 }

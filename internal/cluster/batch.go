@@ -81,16 +81,19 @@ func (c *Coordinator) batchScatter(ctx context.Context, a core.Algorithm, querie
 		round1[shard] = all
 	}
 	k0 := c.firstRoundK(k, P)
-	c.batchRound(ctx, a, queries, k0, round1, st, obs.StageScatterRound1)
+	c.batchRound(ctx, a, queries, k0, round1, nil, st, obs.StageScatterRound1)
 	if err := c.roundErrorBatch(st); err != nil {
 		return nil, err
 	}
 
-	// Certify per query; group the escalations by shard.
+	// Certify per query; group the escalations by shard. A shard's
+	// round-2 RPC carries one rank ceiling for all its queries: the
+	// loosest of theirs (roundTwoCeiling).
 	escalations := 0
 	shortCircuited := 0
 	if k0 < k {
 		round2 := make(map[int][]int)
+		ceilings := make(map[int]int32)
 		column := make([]*core.Result, P)
 		for qi := range queries {
 			for s := 0; s < P; s++ {
@@ -99,13 +102,19 @@ func (c *Coordinator) batchScatter(ctx context.Context, a core.Algorithm, querie
 			merged := mergeTopK(column, k)
 			escalate, settled := unsettledShards(column, merged, k)
 			shortCircuited += settled
+			ceiling := roundTwoCeiling(ctx, merged, k)
 			for _, shard := range escalate {
+				if len(round2[shard]) == 0 {
+					ceilings[shard] = ceiling
+				} else {
+					ceilings[shard] = looserCeiling(ceilings[shard], ceiling)
+				}
 				round2[shard] = append(round2[shard], qi)
 			}
 			escalations += len(escalate)
 		}
 		if len(round2) > 0 {
-			c.batchRound(ctx, a, queries, k, round2, st, obs.StageScatterRound2)
+			c.batchRound(ctx, a, queries, k, round2, ceilings, st, obs.StageScatterRound2)
 			if err := c.roundErrorBatch(st); err != nil {
 				return nil, err
 			}
@@ -138,6 +147,7 @@ func (c *Coordinator) batchScatter(ctx context.Context, a core.Algorithm, querie
 			Query:      q,
 			K:          k,
 			Entries:    mergeTopK(column, k),
+			MaxRank:    core.MaxRank(ctx),
 			Partial:    st.partial[qi],
 			Generation: gen,
 			Stats:      st.stats[qi],
@@ -160,8 +170,9 @@ func (c *Coordinator) batchScatter(ctx context.Context, a core.Algorithm, querie
 
 // batchRound issues one RPC per requested shard, carrying that shard's
 // query subset, and folds the outcomes into st. reqs maps shard id to
-// the batch positions it must answer at k.
-func (c *Coordinator) batchRound(ctx context.Context, a core.Algorithm, queries []int32, k int, reqs map[int][]int, st *batchState, stage obs.Stage) {
+// the batch positions it must answer at k; ceilings, when non-nil, maps
+// it to the rank ceiling of its RPC (0 for none).
+func (c *Coordinator) batchRound(ctx context.Context, a core.Algorithm, queries []int32, k int, reqs map[int][]int, ceilings map[int]int32, st *batchState, stage obs.Stage) {
 	tr := obs.FromContext(ctx)
 	psp := tr.Begin(stage)
 	psp.SetAttr("shards", int64(len(reqs)))
@@ -184,8 +195,13 @@ func (c *Coordinator) batchRound(ctx context.Context, a core.Algorithm, queries 
 			sm.inFlight.Add(1)
 			csp := tr.BeginShard(stage, shard)
 			csp.SetAttr("queries", int64(len(qs)))
+			sctx := ctx
+			if ceilings != nil {
+				sctx = core.WithMaxRank(ctx, ceilings[shard])
+				csp.SetAttr("rank_ceiling", int64(ceilings[shard]))
+			}
 			t0 := time.Now()
-			res, err := c.backends[shard].QueryBatch(ctx, a, qs, k)
+			res, err := c.backends[shard].QueryBatch(sctx, a, qs, k)
 			elapsed := time.Since(t0)
 			if err != nil {
 				csp.SetAttr("error", 1)
@@ -244,6 +260,15 @@ func (c *Coordinator) batchRound(ctx context.Context, a core.Algorithm, queries 
 		}
 	}
 	tr.End(psp)
+}
+
+// looserCeiling returns the weaker of two rank ceilings; 0 (none) is the
+// weakest.
+func looserCeiling(a, b int32) int32 {
+	if a == 0 || b == 0 {
+		return 0
+	}
+	return max(a, b)
 }
 
 // roundErrorBatch is roundError for batch rounds.

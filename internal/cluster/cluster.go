@@ -13,12 +13,12 @@
 // label work rather than topology.
 //
 // The mask does not divide the query's CPU work. Lemma 1's parent bound
-// does the pruning, so each shard refines out-of-class SDS-tree nodes for
-// their bound (core's refineParent) and does about one node's work: on a
-// dblp-like graph the summed refinements are about 3x a single node's at
-// 2 shards, and more at 4. What the scatter buys is isolation and
-// topology (failure domains, replica groups, per-shard deployment), not
-// less CPU.
+// does the pruning, so each shard bounds every out-of-class SDS-tree node
+// when it is dequeued (core's classBound) and does about one node's work:
+// on a dblp-like graph the summed refinements are about 3x a single
+// node's at 2 shards, and more at 4. What the scatter buys is isolation
+// and topology (failure domains, replica groups, per-shard deployment),
+// not less CPU.
 //
 // # Scatter-gather with rank-floor pruning
 //
@@ -34,6 +34,14 @@
 // candidate that would tie-break into the result always forces the
 // escalation. Two rounds always suffice: a full-k shard answer's floor
 // clears any merged cutoff by construction.
+//
+// When round one merged at least k entries, its k-th rank R bounds the
+// final kRank, so round two asks each escalated shard for its top-k
+// among candidates ranked at most R only (a rank ceiling, core.WithMaxRank;
+// max_rank on the wire). The shard engine prunes against R from its first
+// pop instead of against its own kRank over a 1/P class, which is far
+// weaker than one node's; the merge is unchanged, because every entry of
+// the final answer ranks at most R.
 //
 // The merged result is therefore byte-identical to a single-node
 // Pool.Query over the unsharded candidate class, for all four algorithms,
@@ -62,6 +70,7 @@ import (
 	"rkranks/internal/graph"
 	"rkranks/internal/live"
 	"rkranks/internal/obs"
+	"rkranks/internal/rank"
 	"rkranks/internal/ridx"
 )
 
@@ -453,7 +462,9 @@ func (c *Coordinator) queryOnce(ctx context.Context, a core.Algorithm, q int32, 
 		merged := mergeTopK(st.results, k)
 		escalate, shortCircuited = unsettledShards(st.results, merged, k)
 		if len(escalate) > 0 {
-			c.gatherRound(ctx, a, q, k, escalate, st, obs.StageScatterRound2)
+			ceiling := roundTwoCeiling(ctx, merged, k)
+			r2 := c.gatherRound(core.WithMaxRank(ctx, ceiling), a, q, k, escalate, st, obs.StageScatterRound2)
+			r2.SetAttr("rank_ceiling", int64(ceiling))
 			if err := c.roundError(st); err != nil {
 				return nil, err
 			}
@@ -478,12 +489,27 @@ func (c *Coordinator) queryOnce(ctx context.Context, a core.Algorithm, q int32, 
 		Query:      q,
 		K:          k,
 		Entries:    mergeTopK(st.results, k),
+		MaxRank:    core.MaxRank(ctx),
 		Partial:    st.partial,
 		Generation: gen,
 		Stats:      st.stats,
 	}
 	c.metrics.observeQuery(time.Since(start), st.maxShard, st.transferred, len(escalate), shortCircuited, st.partial)
 	return res, nil
+}
+
+// roundTwoCeiling returns the rank ceiling a second scatter round runs
+// under. When round one merged at least k entries, the merged k-th rank
+// bounds the final kRank: those k candidates are genuine and every other
+// shard answer can only displace them with better ranks. Each escalated
+// shard then needs only its candidates ranked at or below it
+// (core.WithMaxRank), which prunes from the shard engine's first pop.
+// Otherwise round two keeps ctx's own ceiling (0 for none).
+func roundTwoCeiling(ctx context.Context, merged []rank.Entry, k int) int32 {
+	if len(merged) < k {
+		return core.MaxRank(ctx)
+	}
+	return merged[k-1].Rank
 }
 
 // commonGeneration extracts the one generation stamp a set of shard

@@ -500,3 +500,43 @@ func TestValidationFailsFast(t *testing.T) {
 		t.Errorf("indexed on index-free cluster error = %v", err)
 	}
 }
+
+// TestSharedIndexAcrossMaskedShards is the adversarial check of NewLocal's
+// one-index-for-all-shards design. A shared Reverse Rank Dictionary holds
+// slots from every shard's candidates, so a shard sees slots held by
+// sources outside its class, which the Check Dictionary's eviction
+// argument does not cover (see ridx.BuildParams.Candidates). With a tiny
+// MaxK and distance ties everywhere, evictions are frequent; Indexed over
+// 2-4 masked shards must still answer byte-identically to single-node
+// Dynamic.
+func TestSharedIndexAcrossMaskedShards(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		g := tieHeavy(40+seed, seed%2 == 0, 70)
+		single := core.NewEngine(g, core.Options{})
+		for _, maxK := range []int{1, 2, 3} {
+			for _, shards := range []int{2, 3, 4} {
+				coord, err := NewLocal(g, core.Options{}, Modulo{}, shards, 1, sharedIndex(t, g, maxK), Config{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(seed*100 + int64(maxK*10+shards)))
+				for round := 0; round < 120; round++ {
+					q := int32(rng.Intn(g.N()))
+					k := 1 + rng.Intn(maxK)
+					want, err := single.Query(core.Dynamic, q, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := coord.Query(core.Indexed, q, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !entriesEqual(got.Entries, want.Entries) {
+						t.Fatalf("seed %d maxK=%d shards=%d round %d q=%d k=%d:\n cluster %v\n single  %v",
+							seed, maxK, shards, round, q, k, got.Entries, want.Entries)
+					}
+				}
+			}
+		}
+	}
+}

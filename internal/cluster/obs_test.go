@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
+	"sync"
 	"testing"
 
 	"rkranks/internal/core"
@@ -107,5 +108,119 @@ func TestTracePropagatesAcrossShards(t *testing.T) {
 	}
 	if parents != 1 || children != shards {
 		t.Errorf("scatter.round1 spans: %d parents, %d children; want 1 and %d", parents, children, shards)
+	}
+}
+
+// TestRoundTwoSpanCarriesRankCeiling: an escalated query's scatter.round2
+// span records the rank ceiling round two ran under, the merged round-1
+// k-th rank, which bounds the final answer's kRank.
+func TestRoundTwoSpanCarriesRankCeiling(t *testing.T) {
+	g := gen.DBLPLike(gen.DBLPLikeParams{Nodes: 300, AttachPerNode: 4, ExtraCollabFactor: 0.5, Seed: 3})
+	coord, err := NewLocal(g, core.Options{}, Modulo{}, 2, 1, nil, Config{FirstRoundK: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 10
+	seen := 0
+	for q := int32(0); q < 40; q++ {
+		tr := obs.NewTrace("ceiling", "query")
+		res, err := coord.QueryContext(obs.ContextWithTrace(context.Background(), tr), core.Dynamic, q, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sp := range tr.Spans() {
+			if sp.Stage != obs.StageScatterRound2 || sp.Shard >= 0 {
+				continue
+			}
+			seen++
+			r, ok := sp.Attr("rank_ceiling")
+			if !ok || r <= 0 || int32(r) < res.KRank() {
+				t.Errorf("q=%d: scatter.round2 rank_ceiling %d (set %v), final kRank %d", q, r, ok, res.KRank())
+			}
+		}
+		tr.Release()
+	}
+	if seen == 0 {
+		t.Fatal("no query escalated; the test exercises nothing")
+	}
+
+}
+
+// ceilingRecorder records the rank ceiling and queries of every batch
+// RPC a shard serves at full k.
+type ceilingRecorder struct {
+	ShardBackend
+	k     int
+	mu    sync.Mutex
+	calls []ceilingCall
+}
+
+type ceilingCall struct {
+	ceiling int32
+	queries []int32
+}
+
+func (r *ceilingRecorder) QueryBatch(ctx context.Context, a core.Algorithm, queries []int32, k int) ([]*core.Result, error) {
+	if k == r.k {
+		r.mu.Lock()
+		r.calls = append(r.calls, ceilingCall{core.MaxRank(ctx), append([]int32(nil), queries...)})
+		r.mu.Unlock()
+	}
+	return r.ShardBackend.QueryBatch(ctx, a, queries, k)
+}
+
+// TestBatchRoundTwoCeiling: the batch scatter sends each escalated shard
+// one round-2 RPC whose ceiling is the loosest of its queries' merged
+// round-1 k-th ranks, so it is at least every one of those queries' final
+// kRank, and the answers stay byte-identical to scattering one by one.
+func TestBatchRoundTwoCeiling(t *testing.T) {
+	g := gen.DBLPLike(gen.DBLPLikeParams{Nodes: 300, AttachPerNode: 4, ExtraCollabFactor: 0.5, Seed: 3})
+	const shards, k = 2, 10
+	recs := make([]*ceilingRecorder, shards)
+	backends := make([]ShardBackend, shards)
+	for s := range backends {
+		ls, err := NewLocalShard(g, core.Options{}, Modulo{}, shards, s, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs[s] = &ceilingRecorder{ShardBackend: ls, k: k}
+		backends[s] = recs[s]
+	}
+	coord, err := New(backends, Config{FirstRoundK: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := make([]int32, 40)
+	for i := range queries {
+		queries[i] = int32(i)
+	}
+	results, err := coord.QueryMany(core.Dynamic, queries, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kRank := map[int32]int32{}
+	for i, res := range results {
+		want, err := coord.Query(core.Dynamic, queries[i], k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !entriesEqual(res.Entries, want.Entries) {
+			t.Fatalf("batch q=%d: %v, single scatter %v", queries[i], res.Entries, want.Entries)
+		}
+		kRank[queries[i]] = res.KRank()
+	}
+	rpcs := 0
+	for s, r := range recs {
+		for _, call := range r.calls {
+			rpcs++
+			for _, q := range call.queries {
+				if call.ceiling <= 0 || call.ceiling < kRank[q] {
+					t.Errorf("shard %d: round-2 RPC ceiling %d, query %d has final kRank %d", s, call.ceiling, q, kRank[q])
+				}
+			}
+		}
+	}
+	if rpcs == 0 {
+		t.Fatal("the batch never escalated")
 	}
 }

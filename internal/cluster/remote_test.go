@@ -12,6 +12,7 @@ import (
 	"rkranks/internal/core"
 	"rkranks/internal/gen"
 	"rkranks/internal/graph"
+	"rkranks/internal/rank"
 	"rkranks/internal/server"
 	tg "rkranks/internal/testgraphs"
 	"rkranks/internal/workload"
@@ -41,6 +42,51 @@ func bootShardServer(t *testing.T, g *graph.Graph, part Partitioner, shards, sha
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return ts
+}
+
+// TestRemoteShardMaxRank sends a rank ceiling over the wire: a remote
+// shard asked under core.WithMaxRank answers, on the single and batch
+// paths, its unbounded answer filtered to rank <= R, and stamps the
+// ceiling so the result's floor certifies only ranks above R.
+func TestRemoteShardMaxRank(t *testing.T) {
+	g := gen.DBLPLike(gen.DBLPLikeParams{Nodes: 200, AttachPerNode: 4, ExtraCollabFactor: 0.5, Seed: 3})
+	ts := bootShardServer(t, g, Modulo{}, 2, 1)
+	rs, err := NewRemoteShard(context.Background(), ts.URL, RemoteExpect{Nodes: g.N(), Shard: "1/2", Partitioner: "modulo"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 10
+	queries := workload.Random(g, 6, 5)
+	for _, q := range queries {
+		want, err := rs.Query(context.Background(), core.Dynamic, q, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := want.Entries[k/2].Rank
+		ctx := core.WithMaxRank(context.Background(), r)
+		got, err := rs.Query(ctx, core.Dynamic, q, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch, err := rs.QueryBatch(ctx, core.Dynamic, []int32{q}, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var exp []rank.Entry
+		for _, e := range want.Entries {
+			if e.Rank <= r {
+				exp = append(exp, e)
+			}
+		}
+		for name, res := range map[string]*core.Result{"query": got, "batch": batch[0]} {
+			if !entriesEqual(res.Entries, exp) || res.MaxRank != r {
+				t.Fatalf("%s q=%d R=%d: %v (MaxRank %d), want %v", name, q, r, res.Entries, res.MaxRank, exp)
+			}
+			if f := res.Floor(); len(res.Entries) < k && (f.Exhausted || f.Rank != r) {
+				t.Fatalf("%s q=%d R=%d: short bounded answer certified %+v", name, q, r, f)
+			}
+		}
+	}
 }
 
 // TestRemoteShardEquivalence runs the scatter-gather over real HTTP shard

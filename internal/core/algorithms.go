@@ -44,7 +44,7 @@ func (e *Engine) static(q int32, k int) *Result {
 			continue
 		}
 		if !e.candidate(v) {
-			e.passThrough(v, d)
+			e.passThrough(v, d, boundInherit)
 			continue
 		}
 		e.refineAndSettle(v, d, seq)
@@ -74,7 +74,7 @@ func (e *Engine) dynamic(q int32, k int) *Result {
 			e.tree.Expand(v, d)
 			continue
 		}
-		if e.pend != nil && e.masked(v, d, false) {
+		if e.pend != nil && e.masked(v, d, boundRefine) {
 			continue
 		}
 		lb := e.lowerBound(v, 0)
@@ -132,7 +132,7 @@ func (e *Engine) indexed(q int32, k int) *Result {
 			e.tree.Expand(v, d)
 			continue
 		}
-		if e.pend != nil && e.masked(v, d, false) {
+		if e.pend != nil && e.masked(v, d, boundRefine) {
 			continue
 		}
 		// Read Check BEFORE LookupRank. Check(v) only bounds Rank(v, q)
@@ -188,23 +188,56 @@ func (e *Engine) indexHit(v int32, d float64, r int32) {
 	e.trace(v, d, TraceIndexHit, r, expand)
 }
 
+// boundMode selects how a query bounds an out-of-class SDS-tree node of
+// its own (classBound).
+type boundMode uint8
+
+const (
+	// boundInherit keeps the parent's bound (Static, whose framework
+	// computes no lower bounds).
+	boundInherit boundMode = iota
+	// boundRefine runs a bound-only refinement (Dynamic, Indexed).
+	boundRefine
+	// boundLabels reads the bound off the hub labeling (HubLabel).
+	boundLabels
+)
+
 // passThrough handles a dequeued node outside the candidate class V1
-// (bichromatic queries): it cannot be a result, but shortest paths of
-// candidates run through it. Its descendants are also descendants of its
-// parent, so the parent's descendant bound passes through unweakened
-// (no per-hop loss), and the subtree is pruned once that bound already
-// disqualifies everything below. An expanded node is left pending:
-// refineParent replaces the inherited bound with the node's own when its
-// first SDS-tree child is dequeued, so a masked query keeps Lemma 1's
-// parent-to-child chain instead of handing children the grandparent's
-// bound.
-func (e *Engine) passThrough(v int32, d float64) {
+// (bichromatic queries and shard masks): it cannot be a result, but
+// shortest paths of candidates run through it. Its descendants are also
+// descendants of its parent, so the parent's descendant bound passes
+// through unweakened (no per-hop loss), and the subtree is pruned once
+// that bound already disqualifies everything below.
+//
+// Under boundRefine and boundLabels the node then gets its own Lemma-1
+// bound, so a masked query keeps the parent-to-child chain instead of
+// handing children the grandparent's bound. It is bounded here, when it
+// is dequeued, once kRank is bounded and the node would reach a node the
+// traversal has not reached yet: a bound above kRank then cuts the
+// subtree before a single child is pushed. Otherwise the node is expanded
+// and left pending, and refineParent bounds it when its first SDS-tree
+// child is dequeued. That covers a node dequeued while the result heap is
+// still short of k entries (kRank == kRankInf), which cannot be bounded
+// usefully yet, and a node whose expansion only shortens paths to nodes
+// already queued: those nodes often find a shorter path through another
+// node before they are dequeued, and bounding such parents as well cost
+// 21% more refinements at k=100 on four shards of a 3,000-node dblp-like
+// graph, for no fewer tree settles.
+func (e *Engine) passThrough(v int32, d float64, mode boundMode) {
 	pb := e.parentBound(v)
 	e.setDescBound(v, pb)
-	expand := pb <= e.heap.kRank()
+	kRank := e.heap.kRank()
+	expand := pb <= kRank
+	if expand && mode != boundInherit {
+		if kRank == kRankInf || !e.tree.Reaches(v) {
+			e.pend[v] = e.epoch
+		} else {
+			e.classBound(v, d, kRank, mode)
+			expand = e.nrank[v] <= kRank
+		}
+	}
 	if expand {
 		e.tree.Expand(v, d)
-		e.pend[v] = e.epoch
 	}
 	e.trace(v, d, TracePassThrough, pb, expand)
 }
@@ -214,33 +247,21 @@ func (e *Engine) passThrough(v int32, d float64) {
 // then passes v through when v is outside the candidate class. It reports
 // whether v was consumed. Unmasked queries skip it on the e.pend check,
 // which stands in for candidate()'s own nil check.
-func (e *Engine) masked(v int32, d float64, labels bool) bool {
-	e.refineParent(v, labels)
+func (e *Engine) masked(v int32, d float64, mode boundMode) bool {
+	e.refineParent(v, mode)
 	if e.opts.Candidates[v] {
 		return false
 	}
-	e.passThrough(v, d)
+	e.passThrough(v, d, mode)
 	return true
 }
 
-// refineParent gives v's SDS-tree parent its own Lemma-1 bound when the
-// parent is an out-of-class node that passThrough left pending. The first
-// child to be dequeued pays for it, so a node whose children are never
-// reached costs nothing. The bounded engines call it for every dequeued
-// node of a masked query before checking the node's class.
-//
-// The usual Theorem-2 skip comes first: a lower bound above kRank is
-// recorded without a refinement. While the result heap holds fewer than k
-// entries nothing can be pruned, so the parent stays pending and a later
-// child tries again. Otherwise Dynamic and Indexed run a bound-only
-// refinement. The parent is never offered to the result heap, and it never
-// feeds the index: a Reverse Rank Dictionary slot held by a non-candidate
-// source would break the Check Dictionary's eviction argument (see
-// ridx.BuildParams.Candidates). HubLabel (labels set) takes the hub-label
-// bound instead and never refines: its label scans already prune most
-// in-class children cheaply, and a Dijkstra per out-of-class parent cost
-// more than it saved at k=100.
-func (e *Engine) refineParent(v int32, labels bool) {
+// refineParent bounds v's SDS-tree parent when the parent is an
+// out-of-class node that passThrough left pending (see there). The first
+// child dequeued once kRank is bounded pays for it; while the result heap
+// holds fewer than k entries the parent stays pending and a later child
+// tries again.
+func (e *Engine) refineParent(v int32, mode boundMode) {
 	p := e.tree.Parent(v)
 	if p < 0 || e.pend[p] != e.epoch {
 		return
@@ -251,10 +272,25 @@ func (e *Engine) refineParent(v int32, labels bool) {
 	}
 	e.pend[p] = 0
 	d, _ := e.tree.Dist(p)
+	e.classBound(p, d, kRank, mode)
+}
+
+// classBound gives an out-of-class node p its own Lemma-1 descendant
+// bound against a bounded kRank; passThrough and refineParent share it.
+// The usual Theorem-2 skip comes first: a lower bound above kRank is
+// recorded without a refinement. Otherwise Dynamic and Indexed run a
+// bound-only refinement. The node is never offered to the result heap,
+// and it never feeds the index: a Reverse Rank Dictionary slot held by a
+// non-candidate source would break the Check Dictionary's eviction
+// argument (see ridx.BuildParams.Candidates). HubLabel takes the
+// hub-label bound instead and never refines: its label scans already
+// prune most in-class children cheaply, and a Dijkstra per out-of-class
+// node cost more than it saved at k=100.
+func (e *Engine) classBound(p int32, d float64, kRank int32, mode boundMode) {
 	bound := e.lowerBoundAt(p, 0, false)
 	switch {
 	case bound > kRank:
-	case labels:
+	case mode == boundLabels:
 		bound = max(bound, e.labelBound(p, d, kRank))
 	default:
 		indexing := e.indexing
@@ -278,7 +314,7 @@ func (e *Engine) lowerBound(v, check int32) int32 {
 }
 
 // lowerBoundAt is lowerBound with the Table-11 win attribution optional.
-// refineParent bounds out-of-class parents with attribute=false: they are
+// classBound bounds out-of-class nodes with attribute=false: they are
 // not candidates, so their bounds must not count toward the Table 11
 // wins, which describe candidate decisions.
 func (e *Engine) lowerBoundAt(v, check int32, attribute bool) int32 {

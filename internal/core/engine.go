@@ -49,10 +49,11 @@ type Engine struct {
 	seq     int32    // pops so far this query
 	scratch []settleRec
 
-	heap  resultHeap
-	stats Stats
-	q     int32
-	k     int
+	heap    resultHeap
+	stats   Stats
+	q       int32
+	k       int
+	maxRank int32 // the query's rank ceiling (WithMaxRank), 0 for none
 
 	// arena is the shared-traversal batch scratch, non-nil only between
 	// BeginBatch/EndBatch (see batchexec.go). batch retains the allocation
@@ -143,12 +144,41 @@ func (e *Engine) Query(a Algorithm, q int32, k int) (*Result, error) {
 	return e.QueryContext(context.Background(), a, q, k)
 }
 
+// maxRankKey is the context key of a query's rank ceiling.
+type maxRankKey struct{}
+
+// WithMaxRank returns a context whose queries run under the rank ceiling
+// r; r <= 0 adds none and returns ctx as is. The answer is then the canonical minimum k by
+// (rank, node id) among candidates with Rank <= r: exactly the unbounded
+// answer's prefix with rank <= r. The engine prunes against r from its
+// first pop, so a ceiling at or below the final kRank saves every
+// refinement spent before the result heap fills.
+//
+// The ceiling rides the context, so every layer between a request and its
+// engine (server, cache, live store, pool, cluster backends) passes it
+// through unchanged; the layers that key or forward answers (the response
+// cache, a remote shard) read it with MaxRank. A backend that ignores it
+// answers the unbounded query, whose prefix is the bounded answer.
+func WithMaxRank(ctx context.Context, r int32) context.Context {
+	if r <= 0 {
+		return ctx
+	}
+	return context.WithValue(ctx, maxRankKey{}, r)
+}
+
+// MaxRank returns the rank ceiling ctx carries (see WithMaxRank), or 0.
+func MaxRank(ctx context.Context) int32 {
+	r, _ := ctx.Value(maxRankKey{}).(int32)
+	return r
+}
+
 // QueryContext is Query with cancellation: when ctx is canceled or its
 // deadline passes, the traversal and any in-flight rank refinement stop
 // within a bounded number of settles and the call returns ctx's error. A
 // canceled query leaves the engine (and any shared index) in a consistent
 // state — cancellation discards work, it never applies partial results —
-// so the engine is immediately reusable.
+// so the engine is immediately reusable. A rank ceiling on ctx (see
+// WithMaxRank) bounds the answer.
 func (e *Engine) QueryContext(ctx context.Context, a Algorithm, q int32, k int) (*Result, error) {
 	if err := validateRequest(a, k); err != nil {
 		return nil, err
@@ -187,6 +217,7 @@ func (e *Engine) QueryContext(ctx context.Context, a Algorithm, q int32, k int) 
 		stage = obs.StageLabelScan
 	}
 	sp := tr.Begin(stage)
+	e.maxRank = MaxRank(ctx)
 	res := e.dispatch(a, q, k)
 	if sp != nil {
 		sp.SetAttr("refinements", int64(e.stats.Refinements))
@@ -252,6 +283,9 @@ func (e *Engine) begin(q int32, k int, a Algorithm) {
 	e.k = k
 	e.seq = 0
 	e.heap.reset(k)
+	if e.maxRank > 0 {
+		e.heap.ceil = e.maxRank
+	}
 	e.stats = Stats{}
 	e.traceLog = nil
 	e.bounds = e.opts.effectiveBounds(e.g)
@@ -270,10 +304,10 @@ func (e *Engine) counted(v int32) bool {
 
 // markTreeSettled records the pop order of the SDS-tree traversal and
 // returns v's sequence number. The Lemma-4 bookkeeping asks "was t settled
-// when candidate p was refined?". refineParent refines an out-of-class
-// parent p only when p's first child is dequeued, after later pops have
-// settled more of the tree, so the engine compares pop sequence numbers
-// instead of consulting the tree's live settled set. Nodes popped after p
+// when candidate p was refined?". refineParent refines a pending
+// out-of-class parent p only when p's first child is dequeued, after
+// later pops have settled more of the tree, so the engine compares pop
+// sequence numbers instead of consulting the tree's live settled set. Nodes popped after p
 // satisfy Lemma 4's d(p,q) <= d(t,q) and keep their counter bumps, which
 // a pending parent among them reads when it is refined in turn.
 func (e *Engine) markTreeSettled(v int32) int32 {
@@ -374,10 +408,10 @@ func (e *Engine) finish() *Result {
 			entries = e.heap.sortedInto(a.entryBuf(n))
 		}
 		res := a.newResult()
-		*res = Result{Query: e.q, K: e.k, Entries: entries, Stats: e.stats, Trace: e.traceLog}
+		*res = Result{Query: e.q, K: e.k, Entries: entries, MaxRank: e.maxRank, Stats: e.stats, Trace: e.traceLog}
 		return res
 	}
-	return &Result{Query: e.q, K: e.k, Entries: e.heap.sorted(), Stats: e.stats, Trace: e.traceLog}
+	return &Result{Query: e.q, K: e.k, Entries: e.heap.sorted(), MaxRank: e.maxRank, Stats: e.stats, Trace: e.traceLog}
 }
 
 // refineAndSettle runs the shared refine/offer/expand tail of the three

@@ -28,7 +28,7 @@ func (e *Engine) hubLabel(q int32, k int) *Result {
 			e.tree.Expand(v, d)
 			continue
 		}
-		if e.pend != nil && e.masked(v, d, true) {
+		if e.pend != nil && e.masked(v, d, boundLabels) {
 			continue
 		}
 		lb := e.lowerBound(v, 0)

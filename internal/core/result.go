@@ -93,8 +93,14 @@ type Result struct {
 	K int
 	// Entries holds the result nodes with their exact Rank(p, q) values,
 	// ordered by (rank, node id). len(Entries) < K only when fewer than K
-	// nodes can reach q.
+	// nodes can reach q, or, under a rank ceiling, fewer than K rank at
+	// most MaxRank.
 	Entries []rank.Entry
+	// MaxRank is the rank ceiling the query ran under (0 = none, see
+	// WithMaxRank): Entries is then the canonical answer's prefix with
+	// Rank <= MaxRank, and may be shorter than K even though more
+	// candidates reach the query node.
+	MaxRank int32
 	// Partial marks a result assembled from an incomplete candidate set:
 	// a cluster coordinator answered in degraded mode while one or more
 	// shard backends were unavailable, so entries owned by those shards
@@ -129,12 +135,17 @@ type Floor struct {
 	Exhausted bool
 }
 
-// Floor derives the rank floor a full result certifies: a result shorter
-// than K exhausted its candidate class, and a full one withholds only
-// candidates ordering strictly after its last entry — a consequence of
-// Entries being the canonical minimum K by (rank, node id).
+// Floor derives the rank floor a result certifies: a full one withholds
+// only candidates ordering strictly after its last entry — a consequence
+// of Entries being the canonical minimum K by (rank, node id). A short
+// result exhausted its candidate class, unless it ran under a rank
+// ceiling: then it certifies only that every withheld candidate ranks
+// above MaxRank, which is the floor (MaxRank, MaxInt32).
 func (r *Result) Floor() Floor {
 	if len(r.Entries) < r.K {
+		if r.MaxRank > 0 {
+			return Floor{Rank: r.MaxRank, Node: math.MaxInt32}
+		}
 		return Floor{Exhausted: true}
 	}
 	last := r.Entries[len(r.Entries)-1]
@@ -190,14 +201,18 @@ const kRankInf = int32(math.MaxInt32)
 // resultHeap maintains the current best-k (node, rank) entries as a
 // max-heap ordered by (rank, node id): the root is the entry that would be
 // evicted next. The (rank, node) tie-break makes every engine
-// deterministic.
+// deterministic. A rank ceiling caps kRank from the start and keeps
+// entries ranked above it out.
 type resultHeap struct {
 	k       int
+	ceil    int32 // kRankInf when the query has no rank ceiling
 	entries []rank.Entry
 }
 
+// reset empties the heap for a query of size k without a rank ceiling.
 func (h *resultHeap) reset(k int) {
 	h.k = k
+	h.ceil = kRankInf
 	if cap(h.entries) < k {
 		h.entries = make([]rank.Entry, 0, k)
 	}
@@ -205,12 +220,12 @@ func (h *resultHeap) reset(k int) {
 }
 
 // kRank returns the current pruning threshold: the worst retained rank once
-// k entries exist, +inf before that.
+// k entries exist, the rank ceiling (+inf without one) before that.
 func (h *resultHeap) kRank() int32 {
 	if len(h.entries) < h.k {
-		return kRankInf
+		return h.ceil
 	}
-	return h.entries[0].Rank
+	return min(h.entries[0].Rank, h.ceil)
 }
 
 func worse(a, b rank.Entry) bool {
@@ -223,6 +238,9 @@ func worse(a, b rank.Entry) bool {
 // offer inserts (node, r), evicting the worst entry when full. It reports
 // whether the entry was retained.
 func (h *resultHeap) offer(node, r int32) bool {
+	if r > h.ceil {
+		return false
+	}
 	e := rank.Entry{Node: node, Rank: r}
 	if len(h.entries) < h.k {
 		h.entries = append(h.entries, e)

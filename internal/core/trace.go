@@ -24,8 +24,8 @@ const (
 	// forwarded with its parent's bound.
 	TracePassThrough
 	// TraceClassBound: a passed-through node got its own descendant bound
-	// when its first SDS-tree child was dequeued (masked engines, see
-	// refineParent): from a bound-only refinement (Dynamic, Indexed), from
+	// (masked engines, see classBound), when it was dequeued or, if kRank
+	// was still unbounded then, when its first SDS-tree child was: from a bound-only refinement (Dynamic, Indexed), from
 	// the hub labeling (HubLabel), or from the Theorem-2 lower bound alone
 	// when that already exceeded kRank. Bound is the value found; Expanded
 	// reports whether the node's children may still be explored.

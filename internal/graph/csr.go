@@ -76,8 +76,9 @@ func packCSR(offsets []int64, targets []int32, weights []float64) *CSR {
 	return c
 }
 
-// packed holds a Graph's lazily built CSR views. Separate from Graph so the
-// zero Graph value stays usable and serialization never sees it.
+// packed holds a Graph's lazily built CSR views. It lives in the Graph
+// itself, so the views are collected together with their graph (a live
+// store drops one graph per topology rebuild).
 type packed struct {
 	once  sync.Once
 	fwd   *CSR
@@ -85,16 +86,13 @@ type packed struct {
 	bytes atomic.Int64
 }
 
-var packedViews sync.Map // *Graph -> *packed
-
 // Packed returns the packed forward and reverse CSR views of g, building
 // them on first use (concurrency-safe; every caller shares one copy per
 // graph). For undirected graphs the reverse view aliases the forward one.
 // Both are nil when the graph's arc count overflows int32 offsets — callers
 // must then stay on the Neighbors/RNeighbors slice path.
 func (g *Graph) Packed() (fwd, rev *CSR) {
-	pv, _ := packedViews.LoadOrStore(g, &packed{})
-	p := pv.(*packed)
+	p := &g.pk
 	p.once.Do(func() {
 		p.fwd = packCSR(g.offsets, g.targets, g.weights)
 		if p.fwd == nil {
@@ -119,9 +117,5 @@ func (g *Graph) Packed() (fwd, rev *CSR) {
 // Packed has been called (the views are lazy), the packed byte count
 // afterwards. Safe to call concurrently with Packed.
 func (g *Graph) CSRBytes() int64 {
-	pv, ok := packedViews.Load(g)
-	if !ok {
-		return 0
-	}
-	return pv.(*packed).bytes.Load()
+	return g.pk.bytes.Load()
 }

@@ -2,8 +2,10 @@ package graph
 
 import (
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // loaderEdgeCases are text-format graphs exercising the loader paths that
@@ -177,6 +179,38 @@ func TestPackedIdempotent(t *testing.T) {
 	}
 	if f1.NumArcs() != 4 { // undirected edges count twice
 		t.Errorf("NumArcs = %d, want 4", f1.NumArcs())
+	}
+}
+
+// TestPackedGraphIsCollected pins that a packed graph does not outlive
+// its last reference: the memoized CSR views belong to the graph, so a
+// live store that swaps in a rebuilt graph releases the old one.
+func TestPackedGraphIsCollected(t *testing.T) {
+	collected := make(chan struct{})
+	func() {
+		b := NewBuilder(true)
+		b.EnsureNodes(64)
+		for v := NodeID(1); v < 64; v++ {
+			b.MustAddEdge(v-1, v, float64(v))
+		}
+		g := b.Finalize()
+		if fwd, _ := g.Packed(); fwd == nil {
+			t.Fatal("Packed returned nil")
+		}
+		runtime.AddCleanup(g, func(ch chan struct{}) { close(ch) }, collected)
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("a dropped packed graph was never collected")
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -49,6 +49,8 @@ type Graph struct {
 
 	labels   []string
 	labelIdx map[string]NodeID
+
+	pk packed // lazily built CSR views (see Packed)
 }
 
 // N returns the number of nodes.

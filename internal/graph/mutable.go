@@ -314,13 +314,10 @@ func (g *Graph) PatchWeight(u, v NodeID, w float64) {
 		// Undirected mirror arc; transpose arrays alias forward ones.
 		g.patchArcs(g.offsets, g.targets, g.weights, v, u, w)
 	}
-	if pv, ok := packedViews.Load(g); ok {
-		p := pv.(*packed)
-		if p.fwd != nil {
-			patchPackedArcs(p.fwd, u, v, w)
-			if u != v || g.directed {
-				patchPackedArcs(p.rev, v, u, w)
-			}
+	if p := &g.pk; p.fwd != nil {
+		patchPackedArcs(p.fwd, u, v, w)
+		if u != v || g.directed {
+			patchPackedArcs(p.rev, v, u, w)
 		}
 	}
 }

@@ -492,6 +492,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	algo, err := s.resolveAlgorithm(req.Algorithm)
+	if err == nil {
+		err = checkMaxRank(req.MaxRank)
+	}
 	if err != nil {
 		s.reject(w, r, start, http.StatusBadRequest, codeInvalidArgument, err.Error())
 		return
@@ -507,7 +510,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := s.requestContext(r.Context(), req.TimeoutMS)
 	defer cancel()
-	res, err := s.backend.QueryContext(ctx, algo, req.Q, req.K)
+	res, err := s.backend.QueryContext(core.WithMaxRank(ctx, req.MaxRank), algo, req.Q, req.K)
 	if err != nil {
 		s.queryError(w, r, start, err, slog.String("algorithm", algo.String()))
 		return
@@ -528,6 +531,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	algo, err := s.resolveAlgorithm(req.Algorithm)
+	if err == nil {
+		err = checkMaxRank(req.MaxRank)
+	}
 	if err != nil {
 		s.reject(w, r, start, http.StatusBadRequest, codeInvalidArgument, err.Error())
 		return
@@ -554,7 +560,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := s.requestContext(r.Context(), req.TimeoutMS)
 	defer cancel()
-	results, err := s.backend.QueryManyContext(ctx, algo, req.Queries, req.K)
+	results, err := s.backend.QueryManyContext(core.WithMaxRank(ctx, req.MaxRank), algo, req.Queries, req.K)
 	if err != nil {
 		s.queryError(w, r, start, err, slog.String("algorithm", algo.String()))
 		return
@@ -761,6 +767,14 @@ func (s *Server) requestContext(parent context.Context, timeoutMS int64) (contex
 		}
 	}
 	return context.WithTimeout(parent, timeout)
+}
+
+// checkMaxRank validates a request's optional rank ceiling (0 = none).
+func checkMaxRank(r int32) error {
+	if r < 0 {
+		return fmt.Errorf("max_rank must be >= 0, got %d", r)
+	}
+	return nil
 }
 
 func toQueryResponse(res *core.Result, algo core.Algorithm, elapsed time.Duration) queryResponse {

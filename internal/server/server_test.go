@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -113,6 +114,57 @@ func TestQueryValidationMapsTo400(t *testing.T) {
 				t.Fatalf("got %v, want HTTP 400", err)
 			}
 		})
+	}
+}
+
+// TestMaxRankRequests sends max_rank on /v1/query and /v1/batch (the
+// client forwards its context's ceiling) and checks each answer is the
+// unbounded one's prefix with rank <= R; a negative ceiling is a 400.
+func TestMaxRankRequests(t *testing.T) {
+	_, ts, g := newTestServer(t, Config{}, false)
+	c := api.NewClient(ts.URL)
+	oracle := core.NewEngine(g, core.Options{})
+	const k = 8
+	queries := []int32{3, 7, 11}
+	for _, q := range queries {
+		want, err := oracle.Query(core.Dynamic, q, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := want.Entries[k/2].Rank
+		ctx := core.WithMaxRank(context.Background(), r)
+		resp, err := c.Query(ctx, "dynamic", q, k, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch, err := c.Batch(ctx, "dynamic", []int32{q}, k, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var exp []api.Entry
+		for _, e := range want.Entries {
+			if e.Rank <= r {
+				exp = append(exp, api.Entry{Node: e.Node, Rank: e.Rank})
+			}
+		}
+		for name, got := range map[string][]api.Entry{"query": resp.Entries, "batch": batch.Results[0].Entries} {
+			if fmt.Sprint(got) != fmt.Sprint(exp) {
+				t.Errorf("%s q=%d R=%d: %v, want %v", name, q, r, got, exp)
+			}
+		}
+	}
+	for path, body := range map[string]string{
+		"/v1/query": `{"q": 3, "k": 5, "max_rank": -1}`,
+		"/v1/batch": `{"queries": [3], "k": 5, "max_rank": -1}`,
+	} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s with max_rank -1: HTTP %d, want 400", path, resp.StatusCode)
+		}
 	}
 }
 

@@ -154,3 +154,47 @@ func BenchmarkKernelCSRLite(b *testing.B) {
 	g := benchGraph()
 	runKernel(b, NewLite(g), g.N())
 }
+
+// TestReachesPredictsFirstTouch checks Reaches against what Expand then
+// does, on the packed and the slice kernels, forward and reverse: it
+// reports true exactly when Expand touches a node the traversal had not
+// reached before.
+func TestReachesPredictsFirstTouch(t *testing.T) {
+	for name, g := range kernelGraphs(t) {
+		for _, packed := range []bool{true, false} {
+			for _, reverse := range []bool{false, true} {
+				s := New(g)
+				if !packed {
+					s.DisablePacked()
+				}
+				if reverse {
+					s.ResetReverse(0)
+				} else {
+					s.Reset(0)
+				}
+				for {
+					v, d, ok := s.Pop()
+					if !ok {
+						break
+					}
+					before := make([]bool, g.N())
+					for u := range before {
+						before[u] = s.Reached(int32(u))
+					}
+					predicted := s.Reaches(v)
+					s.Expand(v, d)
+					touched := false
+					for u, seen := range before {
+						if !seen && s.Reached(int32(u)) {
+							touched = true
+						}
+					}
+					if predicted != touched {
+						t.Fatalf("%s packed=%v reverse=%v node %d: Reaches %v, Expand reached a new node %v",
+							name, packed, reverse, v, predicted, touched)
+					}
+				}
+			}
+		}
+	}
+}

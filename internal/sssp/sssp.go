@@ -194,6 +194,30 @@ func (s *Search) Expand(v int32, dist float64) {
 	}
 }
 
+// Reaches reports whether some out-arc of v leads to a node the
+// traversal has not reached yet: whether Expand(v, ...) would make v the
+// first shortest-path-tree parent of some node. It only reads.
+func (s *Search) Reaches(v int32) bool {
+	if c := s.cur; c != nil {
+		for _, a := range c.Arcs(v) {
+			if !s.q.Seen(a.To) {
+				return true
+			}
+		}
+		return false
+	}
+	ts, _ := s.g.Neighbors(v)
+	if s.reverse {
+		ts, _ = s.g.RNeighbors(v)
+	}
+	for _, t := range ts {
+		if !s.q.Seen(t) {
+			return true
+		}
+	}
+	return false
+}
+
 // ExpandBounded relaxes the out-arcs of v but drops relaxations whose
 // tentative distance exceeds maxDist. Rank refinement uses this with
 // maxDist = d(p, q) (known from the SDS-tree): nodes farther than the
